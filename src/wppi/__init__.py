@@ -3,7 +3,7 @@ and evaluation against complex catalogues and annotation sets."""
 
 __version__ = "0.1.0"
 
-from .builder import BuildResult, build_wppi, edge_weight
+from .builder import BuildResult, build_wppi
 from .detector import (
     CompressedNetwork,
     DetectionResult,
@@ -40,7 +40,6 @@ from .expression import (
 from .model import (
     Partition,
     PpiNetwork,
-    ProteinId,
     ProteinIndex,
     WeightedNetwork,
     intern_proteins,
@@ -56,7 +55,6 @@ __all__ = [
     "HubConfig",
     "Partition",
     "PpiNetwork",
-    "ProteinId",
     "ProteinIndex",
     "WeightedNetwork",
     "build_wppi",
@@ -65,7 +63,6 @@ __all__ = [
     "connectivity",
     "delta_modularity",
     "detect",
-    "edge_weight",
     "enrich",
     "functional_cohesion",
     "hypergeom_pvalue",

@@ -9,24 +9,16 @@ disconnecting the network.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .expression import ExpressionMatrix, GeneMatch, match_genes, standardize_rows
 from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
 GLOBAL_DEFAULT_WEIGHT = 0.5
-
-
-def edge_weight(correlation: float, adjacency: int) -> float:
-    """Weight of one edge: absolute correlation gated by the adjacency bit."""
-    if adjacency not in (0, 1):
-        raise ValueError(f"adjacency bit must be 0 or 1, got {adjacency!r}")
-    if not -1.0 - 1e-12 <= correlation <= 1.0 + 1e-12:
-        raise ValueError(f"correlation out of range [-1, 1]: {correlation!r}")
-    return abs(correlation) * adjacency
+_FOLD_BLOCK = 1024
 
 
 @dataclass
@@ -51,34 +43,37 @@ def _correlation_kernel(z: np.ndarray, row_i: np.ndarray, row_j: np.ndarray) -> 
     return np.abs(dots)[inverse]
 
 
+def _fold_sum(values: np.ndarray) -> float:
+    """Sum left to right within blocks of _FOLD_BLOCK, then across the block sums.
+
+    The order is fixed by the length alone. ``np.sum`` (pairwise) and builtin
+    ``sum`` (compensated from Python 3.12) round differently, which would
+    change the fallback weight in the last bits.
+    """
+    partials = [np.cumsum(values[s:s + _FOLD_BLOCK])[-1]
+                for s in range(0, values.size, _FOLD_BLOCK)]
+    return float(np.cumsum(partials)[-1])
+
+
 def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix,
                mapping: dict[str, str] | None = None,
                default_weight: float | None = None,
                zero_as_unmatched: bool = False,
-               threads: int = 1,
-               partition_strategy: str = "range") -> BuildResult:
+               threads: int = 1) -> BuildResult:
     """Weight every PPI edge by gene co-expression.
 
     The edge set of the result equals the edge set of the input exactly.
     ``default_weight`` overrides the computed fallback; ``zero_as_unmatched``
     additionally applies the fallback to matched edges whose correlation is
-    exactly zero.
+    exactly zero. ``threads`` splits the edges into that many contiguous
+    chunks; the kernel is row-independent, so the result does not depend on it.
     """
     if ppi.edge_count == 0:
         raise ValueError("empty network")
     matching = match_genes(proteins, matrix, mapping)
 
-    # Carrier network: same edge set, unit weights, used only for partitioning.
-    ppi_src, ppi_dst = ppi.edge_arrays()
-    carrier = WeightedNetwork.from_arrays(
-        ppi.num_vertices, ppi_src, ppi_dst,
-        np.ones(ppi_src.size, dtype=np.float64))
-    parts = engine.partition_edges(carrier, max(1, threads), partition_strategy)
-
-    rows = matching.rows
-    row_arr = np.array([-1 if r is None else r for r in rows], dtype=np.int64)
-    src = carrier.edge_src
-    dst = carrier.edge_dst
+    src, dst = ppi.edge_arrays()
+    row_arr = np.array([-1 if r is None else r for r in matching.rows], dtype=np.int64)
     both_matched = (row_arr[src] >= 0) & (row_arr[dst] >= 0)
 
     z, zero_var = standardize_rows(matrix.values)
@@ -91,7 +86,13 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
             out[sel] = _correlation_kernel(z, row_arr[src[e]], row_arr[dst[e]])
         return out
 
-    abs_corr = engine.parallel_batch_map(parts, kernel, max_workers=max(1, threads))
+    edges = np.arange(src.size)
+    if threads <= 1:
+        abs_corr = kernel(edges)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            chunks = executor.map(kernel, np.array_split(edges, threads))
+            abs_corr = np.concatenate(list(chunks))
 
     matched_idx = np.flatnonzero(both_matched)
     zero_variance_edges = int(np.sum(zero_var[row_arr[src[matched_idx]]]
@@ -107,8 +108,7 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
         if zero_as_unmatched:
             pool = pool[pool != 0.0]
         if pool.size:
-            total = engine.deterministic_reduce(pool.tolist(), lambda a, b: a + b)
-            fallback = min(1.0, float(total) / pool.size)
+            fallback = min(1.0, _fold_sum(pool) / pool.size)
         else:
             fallback = GLOBAL_DEFAULT_WEIGHT
 
@@ -122,6 +122,6 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
         matching=matching,
         fallback_weight=fallback,
         matched_edge_count=int(matched_idx.size),
-        unmatched_edge_count=int(carrier.edge_count - matched_idx.size),
+        unmatched_edge_count=int(src.size - matched_idx.size),
         zero_variance_edge_count=zero_variance_edges,
     )

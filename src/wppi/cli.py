@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, builder, detector, engine, evaluator, fileio, synthetic
+from . import __version__, builder, detector, evaluator, fileio, synthetic
 
 QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 SWEEP_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -23,6 +24,21 @@ SWEEP_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 class UsageError(ValueError):
     """Bad flag combination or unusable input, reported with exit code 2."""
+
+
+def resolve_threads(requested: int | None) -> int:
+    """Thread count from the request, WPPI_THREADS, or the hardware default."""
+    if requested is not None:
+        if requested < 1:
+            raise ValueError("thread count must be >= 1")
+        return requested
+    env = os.environ.get("WPPI_THREADS")
+    if env:
+        value = int(env)
+        if value < 1:
+            raise ValueError("WPPI_THREADS must be >= 1")
+        return value
+    return os.cpu_count() or 1
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -39,8 +55,6 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
                         help="fixed weight for unmatched edges (default: mean of matched)")
     parser.add_argument("--zero-as-unmatched", action="store_true",
                         help="give exactly-zero-correlation edges the fallback weight")
-    parser.add_argument("--partition-strategy", choices=("range", "hash"),
-                        default="range", help="edge partitioning strategy")
 
 
 def _add_detect_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,7 +157,6 @@ def _run_build(args, threads: int):
         default_weight=args.default_weight,
         zero_as_unmatched=args.zero_as_unmatched,
         threads=threads,
-        partition_strategy=args.partition_strategy,
     )
     elapsed = time.perf_counter() - started
     summary = {
@@ -171,7 +184,7 @@ def _build_config(args, threads: int, command: str) -> dict:
     }
     for name in ("ppi", "ged", "mapping", "wppi", "catalogue", "annotations",
                  "communities", "default_weight", "zero_as_unmatched",
-                 "partition_strategy", "d_alpha", "max_stage2_passes",
+                 "d_alpha", "max_stage2_passes",
                  "threshold", "annotated_universe", "no_intermediates", "emit_wppi",
                  "blocks", "w_in", "w_out", "p_in", "p_out", "samples", "seed"):
         if hasattr(args, name):
@@ -182,7 +195,7 @@ def _build_config(args, threads: int, command: str) -> dict:
 
 
 def cmd_build_wppi(args) -> int:
-    threads = engine.resolve_threads(args.threads)
+    threads = resolve_threads(args.threads)
     out = Path(args.output)
     proteins, result, inputs, summary = _run_build(args, threads)
     fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
@@ -209,7 +222,11 @@ def _detect_on(network, proteins, args, threads: int):
         max_stage2_passes=args.max_stage2_passes,
     )
     started = time.perf_counter()
-    result = detector.detect(network, config, threads=threads)
+    try:
+        result = detector.detect(network, config, threads=threads)
+    except ValueError as exc:
+        # Inputs and config are already validated, so this is a detector failure (exit 1).
+        raise RuntimeError(f"detect: {exc}") from exc
     elapsed = time.perf_counter() - started
     rows = []
     for report in result.communities:
@@ -231,7 +248,7 @@ def _detect_on(network, proteins, args, threads: int):
 
 
 def cmd_detect(args) -> int:
-    threads = engine.resolve_threads(args.threads)
+    threads = resolve_threads(args.threads)
     out = Path(args.output)
     inputs = {}
     build_summary = None
@@ -337,7 +354,7 @@ def _write_evaluation_tsv(out: Path, sections: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    threads = engine.resolve_threads(args.threads)
+    threads = resolve_threads(args.threads)
     out = Path(args.output)
     if not args.catalogue and not args.annotations:
         raise UsageError("evaluate needs --catalogue and/or --annotations")
@@ -372,7 +389,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    threads = engine.resolve_threads(args.threads)
+    threads = resolve_threads(args.threads)
     out = Path(args.output)
     proteins, result, inputs, build_summary = _run_build(args, threads)
     for name in ("catalogue", "annotations"):

@@ -35,13 +35,6 @@ class ExpressionMatrix:
     def sample_count(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def gene_count(self) -> int:
-        return self.values.shape[0]
-
-    def row(self, gene: str) -> np.ndarray:
-        return self.values[self.gene_index[gene]]
-
 
 def quantile_normalize_values(values: np.ndarray) -> np.ndarray:
     """Quantile-normalize columns of a matrix.

@@ -7,18 +7,9 @@ per-community weight sums incrementally so modularity queries are O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ProteinId:
-    """A protein with its dense vertex index and original label."""
-
-    index: int
-    label: str
 
 
 class ProteinIndex:
@@ -53,9 +44,6 @@ class ProteinIndex:
     def label_of(self, index: int) -> str:
         return self._labels[index]
 
-    def id_of(self, label: str) -> ProteinId:
-        return ProteinId(self._index[label], label)
-
 
 def intern_proteins(labels: Iterable[str]) -> ProteinIndex:
     """Intern protein labels into dense indices (duplicates collapse to the first)."""
@@ -74,7 +62,6 @@ class PpiNetwork:
         if num_vertices < 1:
             raise ValueError("empty network")
         self.num_vertices = num_vertices
-        self._adjacency: list[set[int]] = [set() for _ in range(num_vertices)]
         self._edges: set[tuple[int, int]] = set()
         self.self_loops_dropped = 0
         self.duplicates_dropped = 0
@@ -91,8 +78,6 @@ class PpiNetwork:
             self.duplicates_dropped += 1
             return False
         self._edges.add(key)
-        self._adjacency[i].add(j)
-        self._adjacency[j].add(i)
         return True
 
     @property
@@ -114,16 +99,6 @@ class PpiNetwork:
         """Edges as (i, j) with i < j, sorted lexicographically."""
         src, dst = self.edge_arrays()
         return list(zip(src.tolist(), dst.tolist()))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        return key in self._edges
-
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adjacency[v])
-
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
 
 
 class WeightedNetwork:
@@ -226,14 +201,6 @@ class WeightedNetwork:
     def degrees(self) -> np.ndarray:
         return self._degrees
 
-    def scaled(self, alpha: float) -> "WeightedNetwork":
-        """Copy with every edge weight multiplied by alpha (result must stay in [0, 1])."""
-        return WeightedNetwork(
-            self.num_vertices,
-            [(int(i), int(j), float(w) * alpha)
-             for i, j, w in zip(self.edge_src, self.edge_dst, self.edge_weight)],
-        )
-
 
 class Partition:
     """Disjoint vertex -> community assignment with cached weight sums.
@@ -266,12 +233,6 @@ class Partition:
 
     def community_ids(self) -> list[int]:
         return sorted(self.communities)
-
-    def community_of(self, v: int) -> int:
-        return self.assignment[v]
-
-    def vertices_of(self, k: int) -> set[int]:
-        return self.communities[k]
 
     def is_total(self) -> bool:
         return all(a != self.UNASSIGNED for a in self.assignment)

@@ -160,3 +160,17 @@ def wppi_weights_direct(ppi_edges, gene_rows, values, fallback) -> list[float]:
         else:
             out.append(abs(pearson_direct(list(values[ri]), list(values[rj]))))
     return out
+
+
+def fallback_mean_direct(values, block=1024) -> float:
+    """Mean of a left-to-right fold within blocks, then across the block sums."""
+    partials = []
+    for start in range(0, len(values), block):
+        acc = values[start]
+        for v in values[start + 1:start + block]:
+            acc += v
+        partials.append(acc)
+    total = partials[0]
+    for p in partials[1:]:
+        total += p
+    return total / len(values)

@@ -1,11 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from wppi.builder import build_wppi, edge_weight
+from wppi.builder import build_wppi
 from wppi.expression import ExpressionMatrix, quantile_normalize
 from wppi.model import PpiNetwork, intern_proteins
 
-from .oracles import wppi_weights_direct
+from .oracles import fallback_mean_direct, wppi_weights_direct
 
 
 def make_inputs(labels, edges, gene_values, gene_labels=None):
@@ -25,21 +28,34 @@ def make_inputs(labels, edges, gene_values, gene_labels=None):
 
 class TestEdgeWeight:
     def test_negative_correlation_flips_sign(self):
-        assert edge_weight(-0.8, 1) == pytest.approx(0.8)
+        proteins, ppi, matrix = make_inputs(
+            ["A", "B"], [("A", "B")], [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        (_, _, w), = build_wppi(proteins, ppi, matrix).network.edges()
+        assert w == pytest.approx(1.0)
 
     def test_no_interaction_no_weight(self):
-        assert edge_weight(0.9, 0) == 0.0
+        # A and C correlate perfectly but do not interact: no edge, no weight
+        proteins, ppi, matrix = make_inputs(
+            ["A", "B", "C"], [("A", "B"), ("B", "C")],
+            [[1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [1.0, 2.0, 3.0]])
+        result = build_wppi(proteins, ppi, matrix)
+        assert [(i, j) for i, j, _ in result.network.edges()] == [(0, 1), (1, 2)]
 
     def test_zero_correlation_stays_zero(self):
-        assert edge_weight(0.0, 1) == 0.0
-
-    def test_bad_adjacency_bit(self):
-        with pytest.raises(ValueError, match="adjacency bit"):
-            edge_weight(0.5, 2)
+        proteins, ppi, matrix = make_inputs(
+            ["A", "B"], [("A", "B")], [[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+        result = build_wppi(proteins, ppi, matrix)
+        (_, _, w), = result.network.edges()
+        assert w == 0.0
+        assert result.zero_variance_edge_count == 0
 
     def test_out_of_range_correlation(self):
-        with pytest.raises(ValueError, match="correlation out of range"):
-            edge_weight(1.5, 1)
+        # rounding puts |r| of this exactly anti-correlated pair at 1 + 2**-52;
+        # the weight is clamped back into [0, 1]
+        proteins, ppi, matrix = make_inputs(
+            ["A", "B"], [("A", "B")], [[1.0, 2.0, 4.0], [-1.0, -2.0, -4.0]])
+        (_, _, w), = build_wppi(proteins, ppi, matrix).network.edges()
+        assert w == 1.0
 
 
 class TestBuildWppi:
@@ -122,13 +138,34 @@ class TestBuildWppi:
         proteins, ppi, matrix = make_inputs(labels, edges, values)
         base = build_wppi(proteins, ppi, matrix, threads=1)
         base_w = [w for _, _, w in base.network.edges()]
-        for threads in (2, 4, 8):
+        for threads in (2, 3, 4, 8):
             again = build_wppi(proteins, ppi, matrix, threads=threads)
             assert [w for _, _, w in again.network.edges()] == base_w
-        for strategy in ("range", "hash"):
-            again = build_wppi(proteins, ppi, matrix, threads=3,
-                               partition_strategy=strategy)
-            assert [w for _, _, w in again.network.edges()] == base_w
+
+    def test_more_threads_than_edges(self):
+        proteins, ppi, matrix = make_inputs(
+            ["A", "B"], [("A", "B")], [[1.0, 2.0, 4.0], [1.0, 3.0, 2.0]])
+        serial = build_wppi(proteins, ppi, matrix, threads=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = build_wppi(proteins, ppi, matrix, threads=8)
+        assert wide.network.edge_weight.tobytes() == serial.network.edge_weight.tobytes()
+
+    def test_fallback_rounding_is_the_blocked_fold(self):
+        # more than one 1024-edge block of matched edges, plus unmatched proteins
+        rng = np.random.default_rng(31)
+        labels = [f"P{i}" for i in range(150)]
+        edges = [(labels[i], labels[j]) for i in range(150) for j in range(i + 1, 150)
+                 if rng.random() < 0.15]
+        proteins, ppi, matrix = make_inputs(
+            labels, edges, rng.normal(size=(130, 9)), gene_labels=labels[:130])
+        result = build_wppi(proteins, ppi, matrix, threads=2)
+        pool = [w for i, j, w in result.network.edges() if i < 130 and j < 130]
+        assert len(pool) == result.matched_edge_count > 1024
+        assert result.unmatched_edge_count > 0
+        expected = fallback_mean_direct(pool)
+        assert result.fallback_weight == expected
+        assert expected != math.fsum(pool) / len(pool)
 
     def test_zero_variance_rows_flagged_and_zero(self):
         proteins, ppi, matrix = make_inputs(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from wppi.cli import main
+from wppi.cli import main, resolve_threads
 
 DATA = Path(__file__).parent / "data"
 
@@ -202,7 +202,7 @@ class TestPipelineCommand:
         report = json.loads(
             (toy["out"] / "pc" / "pipeline_manifest.json").read_text())
         assert report["config"]["lambda"] == 2.0
-        assert report["config"]["partition_strategy"] == "range"
+        assert "partition_strategy" not in report["config"]
         assert len(report["inputs"]["ppi"]["sha256"]) == 64
         assert len(report["inputs"]["ged"]["sha256"]) == 64
 
@@ -237,6 +237,23 @@ class TestExitCodes:
                    "--output", toy["out"] / "crash")
         assert code == 1
 
+    def test_detector_value_error_is_exit_one(self, toy, monkeypatch, capsys):
+        import wppi.cli as cli_module
+
+        def broken(*args, **kwargs):
+            raise ValueError("no internal edges")
+
+        monkeypatch.setattr(cli_module.detector, "detect", broken)
+        code = run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--output", toy["out"] / "crash")
+        assert code == 1
+        assert "computation failed: detect: no internal edges" in capsys.readouterr().err
+
+    def test_bad_lambda_is_usage_error(self, toy):
+        code = run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--lambda", "0", "--output", toy["out"] / "bad")
+        assert code == 2
+
     def test_toy_pipeline_under_five_seconds(self, toy):
         import time
 
@@ -246,3 +263,24 @@ class TestExitCodes:
                    "--annotations", toy["annotations"],
                    "--output", toy["out"] / "timed") == 0
         assert time.perf_counter() - start < 5.0
+
+
+class TestResolveThreads:
+    def test_explicit_wins(self, monkeypatch):
+        monkeypatch.setenv("WPPI_THREADS", "7")
+        assert resolve_threads(3) == 3
+
+    def test_env_fallback(self, monkeypatch):
+        monkeypatch.setenv("WPPI_THREADS", "5")
+        assert resolve_threads(None) == 5
+
+    def test_hardware_default(self, monkeypatch):
+        monkeypatch.delenv("WPPI_THREADS", raising=False)
+        assert resolve_threads(None) >= 1
+
+    def test_bad_values_rejected(self, monkeypatch):
+        with pytest.raises(ValueError):
+            resolve_threads(0)
+        monkeypatch.setenv("WPPI_THREADS", "0")
+        with pytest.raises(ValueError):
+            resolve_threads(None)

@@ -28,11 +28,6 @@ class TestInternProteins:
         idx = intern_proteins(["Z", "A", "Z", "M"])
         assert idx.labels == ["Z", "A", "M"]
 
-    def test_id_of_round_trips(self):
-        idx = intern_proteins(["A", "B"])
-        pid = idx.id_of("B")
-        assert (pid.index, pid.label) == (1, "B")
-
 
 class TestPpiNetwork:
     def test_add_edge_idempotent(self):
@@ -46,8 +41,7 @@ class TestPpiNetwork:
         net = PpiNetwork(3)
         net.add_edge(0, 1)
         net.add_edge(1, 0)
-        assert net.edge_count == 1
-        assert net.has_edge(1, 0)
+        assert net.edges() == [(0, 1)]
 
     def test_self_loop_rejected_with_count(self):
         net = PpiNetwork(3)
@@ -59,7 +53,10 @@ class TestPpiNetwork:
         net = PpiNetwork(5)
         for i, j in [(0, 1), (0, 2), (1, 2), (3, 4)]:
             net.add_edge(i, j)
-        assert sum(net.degree(v) for v in range(5)) == 2 * net.edge_count
+        src, dst = net.edge_arrays()
+        degrees = np.bincount(np.concatenate([src, dst]), minlength=5)
+        assert degrees.tolist() == [2, 2, 2, 1, 1]
+        assert degrees.sum() == 2 * net.edge_count
 
 
 class TestWeightedNetwork:
@@ -82,7 +79,9 @@ class TestWeightedNetwork:
         assert total == pytest.approx(2 * sum(w for _, _, w in two_triangles.edges()))
 
     def test_scaled_preserves_structure(self, two_triangles):
-        half = two_triangles.scaled(0.5)
+        half = WeightedNetwork.from_arrays(
+            two_triangles.num_vertices, two_triangles.edge_src, two_triangles.edge_dst,
+            two_triangles.edge_weight * 0.5)
         assert [(i, j) for i, j, _ in half.edges()] == \
             [(i, j) for i, j, _ in two_triangles.edges()]
         assert half.weighted_degree(0) == pytest.approx(1.0)
