@@ -240,6 +240,9 @@ def _detect_on(network, proteins, args, threads: int):
         "stage1_communities": result.stage1_communities,
         "stage1_sweeps": result.stage1_sweeps,
         "stage1_hit_cap": result.stage1_hit_cap,
+        "stage1_evaluations": result.stage1_evaluations,
+        "stage1_moves": result.stage1_moves,
+        "stage1_steals": result.stage1_steals,
         "stage2_passes": result.stage2_passes,
         "stage2_hit_cap": result.stage2_hit_cap,
         "detect_seconds": round(elapsed, 4),

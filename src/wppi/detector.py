@@ -16,7 +16,6 @@ times connectivity) stays at or above the configured threshold.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,7 +52,27 @@ class HubConfig:
 def _q(internal: float, external: float) -> float:
     # Isolated communities (no boundary weight) saturate instead of dividing by
     # zero; the clamp also absorbs sub-epsilon drift in the incremental sums.
-    return internal / max(external, SATURATION_EPS)
+    # The conditional is max(external, SATURATION_EPS) without a builtin call,
+    # which the stage-1 inner loop would pay once per candidate.
+    return internal / (SATURATION_EPS if SATURATION_EPS > external else external)
+
+
+def _joined_q(internal: float, external: float, w_in: float, deg: float) -> float:
+    # q of a community after a vertex of weighted degree deg, with weight w_in
+    # into it, joins.
+    return _q(internal + 2.0 * w_in, external + deg - 2.0 * w_in)
+
+
+def _leave_term(internal: float, external: float, size: int, w_src: float,
+                deg: float) -> float:
+    # Change of the source community's q when a vertex with weight w_src into
+    # it leaves; a singleton source vanishes and contributes 0.
+    q_old = _q(internal, external)
+    if size == 1:
+        q_new = 0.0
+    else:
+        q_new = _q(internal - 2.0 * w_src, external - (deg - 2.0 * w_src))
+    return q_new - q_old
 
 
 def weighted_degree(network: WeightedNetwork, v: int) -> float:
@@ -62,10 +81,8 @@ def weighted_degree(network: WeightedNetwork, v: int) -> float:
 
 
 def mean_weighted_degree(network: WeightedNetwork) -> float:
-    total = 0.0
-    for v in range(network.num_vertices):
-        total += network.weighted_degree(v)
-    return total / network.num_vertices
+    # cumsum folds left to right, so the mean is the same float as a loop's.
+    return float(np.cumsum(network.degrees)[-1] / network.num_vertices)
 
 
 def select_hubs(network: WeightedNetwork, config: HubConfig | None = None) -> Partition:
@@ -81,8 +98,7 @@ def select_hubs(network: WeightedNetwork, config: HubConfig | None = None) -> Pa
     threshold = config.hub_threshold
     if threshold is None:
         threshold = mean_weighted_degree(network)
-    hubs = [v for v in range(network.num_vertices)
-            if network.weighted_degree(v) > threshold]
+    hubs = np.flatnonzero(network.degrees > threshold).tolist()
     if not hubs:
         hubs = list(range(network.num_vertices))
     seeds = Partition(network)
@@ -108,12 +124,11 @@ def delta_modularity(partition: Partition, k: int, v: int) -> float:
     members = partition.communities[k]
     if not any(int(u) in members for u in idx):
         raise ValueError(f"vertex {v} is not adjacent to community {k}")
-    w_in = partition.weight_to(v, k)
-    deg = partition.network.weighted_degree(v)
-    before = _q(partition.internal_sum[k], partition.external_sum[k])
-    after = _q(partition.internal_sum[k] + 2.0 * w_in,
-               partition.external_sum[k] + deg - 2.0 * w_in)
-    return after - before
+    internal = partition.internal_sum[k]
+    external = partition.external_sum[k]
+    before = _q(internal, external)
+    return _joined_q(internal, external, partition.weight_to(v, k),
+                     partition.network.weighted_degree(v)) - before
 
 
 def move_gain(partition: Partition, k: int, v: int) -> float:
@@ -121,54 +136,28 @@ def move_gain(partition: Partition, k: int, v: int) -> float:
     gain = delta_modularity(partition, k, v)
     src = partition.assignment[v]
     if src != Partition.UNASSIGNED:
-        q_old = _q(partition.internal_sum[src], partition.external_sum[src])
-        if len(partition.communities[src]) == 1:
-            q_new = 0.0
-        else:
-            w_src = partition.weight_to(v, src)
-            deg = partition.network.weighted_degree(v)
-            q_new = _q(partition.internal_sum[src] - 2.0 * w_src,
-                       partition.external_sum[src] - (deg - 2.0 * w_src))
-        gain += q_new - q_old
+        gain += _leave_term(partition.internal_sum[src], partition.external_sum[src],
+                            len(partition.communities[src]), partition.weight_to(v, src),
+                            partition.network.weighted_degree(v))
     return gain
 
 
 @dataclass
 class Stage1Result:
+    """Stage-1 partition and work counters.
+
+    ``evaluations`` counts scored candidates, ``moves`` accepted moves, and
+    ``steals`` the moves that took a vertex out of another community.
+    """
+
     partition: Partition
     seeded_ids: tuple[int, ...]
     promoted_vertices: tuple[int, ...]
     sweeps: int
     hit_cap: bool
-
-
-def _gather_candidates(partition: Partition, k: int) -> list[int]:
-    members = partition.communities[k]
-    seen: set[int] = set()
-    for m in members:
-        idx, _ = partition.network.neighbors(m)
-        seen.update(int(u) for u in idx)
-    seen -= members
-    return sorted(seen)
-
-
-def _best_move(partition: Partition, k: int, candidates: Sequence[int],
-               pool: ThreadPoolExecutor | None = None) -> tuple[int, float] | None:
-    """Candidate with the largest positive gain; ties go to the lowest index."""
-    if not candidates:
-        return None
-    if pool is not None and len(candidates) >= 64:
-        gains = list(pool.map(lambda v: move_gain(partition, k, v), candidates))
-    else:
-        gains = [move_gain(partition, k, v) for v in candidates]
-    best_v = None
-    best_gain = 0.0
-    for v, g in zip(candidates, gains):
-        if g > best_gain:
-            best_v, best_gain = v, g
-    if best_v is None:
-        return None
-    return best_v, best_gain
+    evaluations: int
+    moves: int
+    steals: int
 
 
 def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
@@ -177,42 +166,108 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     """Grow seed communities until no single vertex move improves modularity.
 
     Communities are visited in ascending id order each sweep and append at
-    most one vertex per visit. After convergence (or the sweep cap), any
-    vertex still unassigned becomes its own singleton community so the
-    returned partition is total.
+    most one vertex per visit: the adjacent vertex with the largest positive
+    ``move_gain``, ties to the lowest index. After convergence (or the sweep
+    cap), any vertex still unassigned becomes its own singleton community so
+    the returned partition is total.
+
+    Stage 1 is serial; ``threads`` is accepted for API compatibility and
+    ignored. Each candidate is scored in O(1) from two per-vertex caches:
+    ``links[v]`` maps a community to v's weight into it, and ``leave[v]`` is
+    v's leave term for its own community. Both are recomputed from scratch,
+    never patched with ``+=``/``-=``, so every score equals ``move_gain`` bit
+    for bit: ``links`` sums neighbours in ascending order as
+    ``Partition.weight_to`` does.
     """
     partition = seeds.copy()
-    sweeps = 0
+    adj, adj_w = network.adjacency_lists()
+    degree = network.degrees.tolist()
+    assign = partition.assignment
+    communities = partition.communities
+    internal = partition.internal_sum
+    external = partition.external_sum
+
+    def refresh_links(v: int) -> None:
+        row: dict[int, float] = {}
+        get = row.get
+        for u, w in zip(adj[v], adj_w[v]):
+            c = assign[u]
+            row[c] = get(c, 0.0) + w
+        links[v] = row
+
+    def refresh_leave(v: int) -> None:
+        src = assign[v]
+        leave[v] = _leave_term(internal[src], external[src], len(communities[src]),
+                               links[v].get(src, 0.0), degree[v])
+
+    links: list[dict[int, float]] = [{} for _ in range(network.num_vertices)]
+    # Unassigned vertices leave nothing; adding 0.0 to a join term cannot
+    # change how it compares.
+    leave = [0.0] * network.num_vertices
+    for v in range(network.num_vertices):
+        refresh_links(v)
+        if assign[v] != Partition.UNASSIGNED:
+            refresh_leave(v)
+
+    sweeps = evaluations = moves = steals = 0
     hit_cap = False
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while True:
-            if sweeps >= STAGE1_SWEEP_CAP:
-                warnings.warn("stage-1 sweep cap reached; returning current partition",
-                              stacklevel=2)
-                hit_cap = True
-                break
-            sweeps += 1
-            changed = False
-            for k in partition.community_ids():
-                if k not in partition.communities:
-                    continue  # emptied by a steal earlier in this sweep
-                best = _best_move(partition, k, _gather_candidates(partition, k), pool)
-                if best is not None:
-                    partition.move(best[0], k)
-                    changed = True
-            if not changed:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while True:
+        if sweeps >= STAGE1_SWEEP_CAP:
+            warnings.warn("stage-1 sweep cap reached; returning current partition",
+                          stacklevel=2)
+            hit_cap = True
+            break
+        sweeps += 1
+        changed = False
+        for k in partition.community_ids():
+            if k not in communities:
+                continue  # emptied by a steal earlier in this sweep
+            members = communities[k]
+            seen: set[int] = set()
+            for m in members:
+                seen.update(adj[m])
+            seen -= members
+            candidates = sorted(seen)
+            evaluations += len(candidates)
+            internal_k = internal[k]
+            external_k = external[k]
+            before = _q(internal_k, external_k)
+            best_v = None
+            best_gain = 0.0
+            # Candidates neighbour a member, so links[v] always holds k; the
+            # sum runs in move_gain's order: (after - before) + leave term.
+            for v in candidates:
+                gain = _joined_q(internal_k, external_k, links[v][k], degree[v]) \
+                    - before + leave[v]
+                if gain > best_gain:
+                    best_v, best_gain = v, gain
+            if best_v is None:
+                continue
+            src = assign[best_v]
+            partition.move(best_v, k)
+            moves += 1
+            changed = True
+            # Weights into src and k changed for best_v's neighbours; the sums
+            # of src and k changed for their members, whose leave terms are the
+            # only ones that read them.
+            for u in adj[best_v]:
+                refresh_links(u)
+            for u in communities[k]:
+                refresh_leave(u)
+            if src != Partition.UNASSIGNED:
+                steals += 1
+                for u in communities.get(src, ()):
+                    refresh_leave(u)
+        if not changed:
+            break
     seeded = tuple(partition.community_ids())
     promoted = tuple(v for v in range(network.num_vertices)
-                     if partition.assignment[v] == Partition.UNASSIGNED)
+                     if assign[v] == Partition.UNASSIGNED)
     for v in promoted:
         partition.new_community(v)
     return Stage1Result(partition=partition, seeded_ids=seeded,
-                        promoted_vertices=promoted, sweeps=sweeps, hit_cap=hit_cap)
+                        promoted_vertices=promoted, sweeps=sweeps, hit_cap=hit_cap,
+                        evaluations=evaluations, moves=moves, steals=steals)
 
 
 @dataclass
@@ -444,13 +499,20 @@ class DetectionResult:
     stage1_communities: int
     stage1_sweeps: int
     stage1_hit_cap: bool
+    stage1_evaluations: int
+    stage1_moves: int
+    stage1_steals: int
     stage2_passes: int
     stage2_hit_cap: bool
 
 
 def detect(network: WeightedNetwork, config: HubConfig | None = None,
            threads: int = 1) -> DetectionResult:
-    """Run the full two-stage detection and report per-community metrics."""
+    """Run the full two-stage detection and report per-community metrics.
+
+    Detection is serial; ``threads`` is passed to ``stage1_agglomerate``,
+    which ignores it.
+    """
     if network.num_vertices < 1:
         raise ValueError("empty network")
     config = config or HubConfig()
@@ -493,6 +555,9 @@ def detect(network: WeightedNetwork, config: HubConfig | None = None,
         stage1_communities=len(stage1.partition.communities),
         stage1_sweeps=stage1.sweeps,
         stage1_hit_cap=stage1.hit_cap,
+        stage1_evaluations=stage1.evaluations,
+        stage1_moves=stage1.moves,
+        stage1_steals=stage1.steals,
         stage2_passes=stage2.passes,
         stage2_hit_cap=stage2.hit_cap,
     )

@@ -55,13 +55,14 @@ def quantile_normalize_values(values: np.ndarray) -> np.ndarray:
         col = v[:, c]
         order = np.argsort(col, kind="stable")
         ranked = col[order]
-        i = 0
-        while i < n:
-            j = i
-            while j + 1 < n and ranked[j + 1] == ranked[i]:
-                j += 1
-            out[order[i:j + 1], c] = rank_means[i:j + 1].mean()
-            i = j + 1
+        # Tie groups are the runs of equal neighbours in sorted order; each
+        # run [i, j] gets the mean of the rank values it covers.
+        by_rank = rank_means.copy()
+        edges = np.diff(np.concatenate(([0], ranked[1:] == ranked[:-1], [0])).astype(np.int8))
+        for i, j in zip(np.flatnonzero(edges == 1).tolist(),
+                        np.flatnonzero(edges == -1).tolist()):
+            by_rank[i:j + 1] = rank_means[i:j + 1].mean()
+        out[order, c] = by_rank
     return out
 
 

@@ -194,6 +194,14 @@ class WeightedNetwork:
         s, e = self._indptr[v], self._indptr[v + 1]
         return self._adj_dst[s:e], self._adj_w[s:e]
 
+    def adjacency_lists(self) -> tuple[list[list[int]], list[list[float]]]:
+        """Per-vertex (neighbor, weight) Python lists, ascending by neighbor."""
+        bounds = self._indptr.tolist()
+        dst = self._adj_dst.tolist()
+        wgt = self._adj_w.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        return [dst[s:e] for s, e in spans], [wgt[s:e] for s, e in spans]
+
     def weighted_degree(self, v: int) -> float:
         return float(self._degrees[v])
 

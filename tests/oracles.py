@@ -174,3 +174,100 @@ def fallback_mean_direct(values, block=1024) -> float:
     for p in partials[1:]:
         total += p
     return total / len(values)
+
+
+# Earlier implementations kept verbatim as references for rewrites that must
+# reproduce them bit for bit. Unlike the oracles above they use numpy and the
+# package's ``Partition`` bookkeeping, because the rewrites must match their
+# exact float operations, not only the defining formulas.
+
+
+def quantile_normalize_loop(values):
+    """Per-element tie scan over each sorted column (the pre-vectorization code)."""
+    import numpy as np
+
+    v = np.asarray(values, dtype=np.float64)
+    n, m = v.shape
+    rank_means = np.sort(v, axis=0).mean(axis=1)
+    out = np.empty_like(v)
+    for c in range(m):
+        col = v[:, c]
+        order = np.argsort(col, kind="stable")
+        ranked = col[order]
+        i = 0
+        while i < n:
+            j = i
+            while j + 1 < n and ranked[j + 1] == ranked[i]:
+                j += 1
+            out[order[i:j + 1], c] = rank_means[i:j + 1].mean()
+            i = j + 1
+    return out
+
+
+def _q_reference(internal, external, eps=1e-12):
+    return internal / max(external, eps)
+
+
+def _move_gain_reference(partition, k, v):
+    """Summed-modularity change of moving v into k, recomputed from scratch."""
+    w_in = partition.weight_to(v, k)
+    deg = partition.network.weighted_degree(v)
+    before = _q_reference(partition.internal_sum[k], partition.external_sum[k])
+    after = _q_reference(partition.internal_sum[k] + 2.0 * w_in,
+                         partition.external_sum[k] + deg - 2.0 * w_in)
+    gain = after - before
+    src = partition.assignment[v]
+    if src != partition.UNASSIGNED:
+        q_old = _q_reference(partition.internal_sum[src], partition.external_sum[src])
+        if len(partition.communities[src]) == 1:
+            q_new = 0.0
+        else:
+            w_src = partition.weight_to(v, src)
+            q_new = _q_reference(partition.internal_sum[src] - 2.0 * w_src,
+                                 partition.external_sum[src] - (deg - 2.0 * w_src))
+        gain += q_new - q_old
+    return gain
+
+
+def stage1_reference(seeds, sweep_cap=10_000):
+    """Stage-1 growth scoring every candidate from scratch on every visit.
+
+    Returns (partition, seeded_ids, promoted_vertices, sweeps, evaluations,
+    moves, steals).
+    """
+    partition = seeds.copy()
+    network = partition.network
+    sweeps = evaluations = moves = steals = 0
+    while sweeps < sweep_cap:
+        sweeps += 1
+        changed = False
+        for k in partition.community_ids():
+            if k not in partition.communities:
+                continue
+            members = partition.communities[k]
+            seen = set()
+            for m in members:
+                idx, _ = network.neighbors(m)
+                seen.update(int(u) for u in idx)
+            candidates = sorted(seen - members)
+            evaluations += len(candidates)
+            best_v = None
+            best_gain = 0.0
+            for v in candidates:
+                g = _move_gain_reference(partition, k, v)
+                if g > best_gain:
+                    best_v, best_gain = v, g
+            if best_v is not None:
+                if partition.assignment[best_v] != partition.UNASSIGNED:
+                    steals += 1
+                partition.move(best_v, k)
+                moves += 1
+                changed = True
+        if not changed:
+            break
+    seeded = tuple(partition.community_ids())
+    promoted = tuple(v for v in range(network.num_vertices)
+                     if partition.assignment[v] == partition.UNASSIGNED)
+    for v in promoted:
+        partition.new_community(v)
+    return partition, seeded, promoted, sweeps, evaluations, moves, steals

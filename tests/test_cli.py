@@ -196,6 +196,23 @@ class TestPipelineCommand:
                             .joinpath("pipeline_report.schema.json").read_text())
         jsonschema.validate(report, schema)
 
+    def test_stage1_counters_reported_and_optional(self, toy):
+        import jsonschema
+        from importlib import resources
+
+        assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"], "--format", "json",
+                   "--output", toy["out"] / "pk") == 0
+        report = json.loads((toy["out"] / "pk" / "pipeline_report.json").read_text())
+        detection = report["detection"]
+        assert detection["stage1_evaluations"] >= detection["stage1_moves"] \
+            >= detection["stage1_steals"] >= 0
+        assert detection["stage1_moves"] > 0
+        schema = json.loads(resources.files("wppi.schemas")
+                            .joinpath("pipeline_report.schema.json").read_text())
+        for key in ("stage1_evaluations", "stage1_moves", "stage1_steals"):
+            del detection[key]
+        jsonschema.validate(report, schema)  # reports written before the counters
+
     def test_config_and_hashes_embedded(self, toy):
         assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
                    "--output", toy["out"] / "pc", "--threads", "1") == 0

@@ -26,6 +26,7 @@ from .oracles import (
     community_q_direct,
     compress_direct,
     interaction_intensity_direct,
+    stage1_reference,
     weighted_degree_direct,
 )
 
@@ -177,6 +178,63 @@ class TestStage1:
             result = stage1_agglomerate(net, select_hubs(net))
             assert result.partition.is_total()
             assert result.partition.cache_drift() < 1e-9
+
+    def test_work_counters_on_two_triangles(self, two_triangles):
+        # Hubs 2 and 3 grow {2}->{0,2}->{0,1,2} and {3}->{3,4}->{3,4,5}; the
+        # sweeps score 3+3, 2+2 and 1+1 candidates, and nothing is stolen.
+        result = stage1_agglomerate(two_triangles, select_hubs(two_triangles))
+        assert (result.sweeps, result.evaluations, result.moves, result.steals) == \
+            (3, 12, 4, 0)
+
+
+# Same seeds and sizes as the ``fuzz_graphs`` fixture of the acceptance tests.
+FUZZ_SIZES = [30, 45, 60, 80, 100] * 18 + [150, 180, 200, 220, 240, 260, 280, 300, 300, 300]
+
+
+class TestStage1MatchesReference:
+    """The cached scorer reproduces the from-scratch stage 1 exactly."""
+
+    @staticmethod
+    def assert_same(net):
+        seeds = select_hubs(net)
+        result = stage1_agglomerate(net, seeds)
+        part, seeded, promoted, sweeps, evaluations, moves, steals = stage1_reference(seeds)
+        assert result.partition.assignment == part.assignment
+        assert result.partition.internal_sum == part.internal_sum
+        assert result.partition.external_sum == part.external_sum
+        assert (result.seeded_ids, result.promoted_vertices, result.sweeps) == \
+            (seeded, promoted, sweeps)
+        assert (result.evaluations, result.moves, result.steals) == (evaluations, moves, steals)
+        return result
+
+    def test_fuzz_graphs(self):
+        steals = 0
+        for seed, n in enumerate(FUZZ_SIZES):
+            steals += self.assert_same(random_network(seed, n=n, p=min(0.3, 6.0 / n))).steals
+        assert steals > 0
+
+    def test_planted_fixtures_with_steals_and_promoted_vertices(self):
+        promoted = 0
+        for kwargs in (dict(block_sizes=[10, 10]),
+                       dict(block_sizes=[15, 10, 20], p_in=0.3, p_out=0.05,
+                            w_in=(0.2, 1.0), w_out=(0.0, 1.0)),
+                       dict(block_sizes=[20] * 5, p_in=0.2, p_out=0.02,
+                            w_in=(0.0, 1.0), w_out=(0.0, 1.0))):
+            for seed in range(4):
+                result = self.assert_same(planted_partition(seed=seed, **kwargs).network)
+                assert result.steals > 0
+                promoted += len(result.promoted_vertices)
+        assert promoted > 0
+
+    def test_decimal_weights_where_summation_order_decides(self):
+        # Sums of 0.1s and 0.2s round differently in different orders, so
+        # gains that tie exactly in ascending-neighbour order can split when
+        # the weights are patched with +=/-= instead (seed 12 does).
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            edges = [(i, j, float(rng.choice([0.1, 0.2])))
+                     for i in range(50) for j in range(i + 1, 50) if rng.random() < 0.12]
+            self.assert_same(WeightedNetwork(50, edges))
 
 
 class TestCompress:

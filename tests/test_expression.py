@@ -12,7 +12,7 @@ from wppi.expression import (
 )
 from wppi.model import intern_proteins
 
-from .oracles import pearson_direct, quantile_normalize_direct
+from .oracles import pearson_direct, quantile_normalize_direct, quantile_normalize_loop
 
 
 def matrix_of(values, genes=None):
@@ -72,6 +72,19 @@ class TestQuantileNormalize:
         reference = np.sort(out[:, 0])
         for c in range(1, 4):
             assert np.allclose(np.sort(out[:, c]), reference, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["tie_free", "poisson_ties", "all_equal_column", "one_row"])
+    def test_bytes_match_the_per_element_loop(self, case):
+        rng = np.random.default_rng(17)
+        values = {
+            "tie_free": rng.normal(size=(300, 7)),
+            "poisson_ties": rng.poisson(1.5, size=(400, 9)).astype(float),
+            "all_equal_column": np.column_stack([np.full(50, 2.5), rng.normal(size=50),
+                                                 rng.integers(0, 4, 50).astype(float)]),
+            "one_row": rng.normal(size=(1, 5)),
+        }[case]
+        assert quantile_normalize_values(values).tobytes() == \
+            quantile_normalize_loop(values).tobytes()
 
 
 class TestPearson:
