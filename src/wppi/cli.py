@@ -62,8 +62,6 @@ def _add_detect_flags(parser: argparse.ArgumentParser) -> None:
                         help="hub weighted-degree threshold (default: mean degree)")
     parser.add_argument("--lambda", dest="cohesion", type=float, default=2.0,
                         help="functional-cohesion threshold (default: 2.0)")
-    parser.add_argument("--max-stage2-passes", type=int, default=32,
-                        help="stage-2 sweep cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,8 +182,7 @@ def _build_config(args, threads: int, command: str) -> dict:
     }
     for name in ("ppi", "ged", "mapping", "wppi", "catalogue", "annotations",
                  "communities", "default_weight", "zero_as_unmatched",
-                 "d_alpha", "max_stage2_passes",
-                 "threshold", "annotated_universe", "no_intermediates", "emit_wppi",
+                 "d_alpha", "threshold", "annotated_universe", "no_intermediates", "emit_wppi",
                  "blocks", "w_in", "w_out", "p_in", "p_out", "samples", "seed"):
         if hasattr(args, name):
             config[name] = getattr(args, name)
@@ -215,15 +212,11 @@ def cmd_build_wppi(args) -> int:
     return 0
 
 
-def _detect_on(network, proteins, args, threads: int):
-    config = detector.HubConfig(
-        hub_threshold=args.d_alpha,
-        cohesion_threshold=args.cohesion,
-        max_stage2_passes=args.max_stage2_passes,
-    )
+def _detect_on(network, proteins, args):
+    config = detector.HubConfig(hub_threshold=args.d_alpha, cohesion_threshold=args.cohesion)
     started = time.perf_counter()
     try:
-        result = detector.detect(network, config, threads=threads)
+        result = detector.detect(network, config)
     except ValueError as exc:
         # Inputs and config are already validated, so this is a detector failure (exit 1).
         raise RuntimeError(f"detect: {exc}") from exc
@@ -268,7 +261,7 @@ def cmd_detect(args) -> int:
     else:
         raise UsageError("detect needs --wppi, or --ppi together with --ged")
 
-    rows, summary = _detect_on(network, proteins, args, threads)
+    rows, summary = _detect_on(network, proteins, args)
     fileio.write_communities(out / "communities.tsv", rows)
     manifest = {
         "tool": "wppi",
@@ -400,7 +393,7 @@ def cmd_pipeline(args) -> int:
             inputs[name] = _input_entry(getattr(args, name))
     if not args.no_intermediates:
         fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
-    rows, detect_summary = _detect_on(result.network, proteins, args, threads)
+    rows, detect_summary = _detect_on(result.network, proteins, args)
     fileio.write_communities(out / "communities.tsv", rows)
 
     sections = None

@@ -8,15 +8,17 @@ community is accepted only if the target's gain exceeds the source's loss,
 which makes the total modularity strictly increasing and guarantees
 termination on a partition where no single appendable vertex improves it.
 
-Stage 2 compresses stage-1 communities into super-vertices and merges them
-whenever the merged group's functional cohesion (interaction intensity
-times connectivity) stays at or above the configured threshold.
+Stage 2 compresses stage-1 communities into super-vertices and merges whole
+groups that share a super-edge whenever the union's functional cohesion
+(interaction intensity times connectivity) is at or above the configured
+threshold. Each merge removes a group, so stage 2 terminates after at most
+k - 1 merges, and every multi-member group is connected.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,15 +40,12 @@ class HubConfig:
 
     hub_threshold: float | None = None
     cohesion_threshold: float = 2.0
-    max_stage2_passes: int = 32
 
     def __post_init__(self):
         if self.hub_threshold is not None and self.hub_threshold < 0:
             raise ValueError("hub threshold must be >= 0")
         if self.cohesion_threshold <= 0:
             raise ValueError("cohesion threshold must be > 0")
-        if self.max_stage2_passes < 1:
-            raise ValueError("stage-2 pass cap must be >= 1")
 
 
 def _q(internal: float, external: float) -> float:
@@ -171,13 +170,13 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     cap), any vertex still unassigned becomes its own singleton community so
     the returned partition is total.
 
-    Stage 1 is serial; ``threads`` is accepted for API compatibility and
-    ignored. Each candidate is scored in O(1) from two per-vertex caches:
-    ``links[v]`` maps a community to v's weight into it, and ``leave[v]`` is
-    v's leave term for its own community. Both are recomputed from scratch,
-    never patched with ``+=``/``-=``, so every score equals ``move_gain`` bit
-    for bit: ``links`` sums neighbours in ascending order as
-    ``Partition.weight_to`` does.
+    Stage 1 is serial; ``threads`` is ignored and kept only because the
+    benchmark's traced run (``perfbench/traced.py``) passes it. Each
+    candidate is scored in O(1) from two per-vertex caches: ``links[v]`` maps
+    a community to v's weight into it, and ``leave[v]`` is v's leave term for
+    its own community. Both are recomputed from scratch, never patched with
+    ``+=``/``-=``, so every score equals ``move_gain`` bit for bit: ``links``
+    sums neighbours in ascending order as ``Partition.weight_to`` does.
     """
     partition = seeds.copy()
     adj, adj_w = network.adjacency_lists()
@@ -385,101 +384,84 @@ def functional_cohesion(compressed: CompressedNetwork,
 
 
 @dataclass
-class _GroupState:
-    """Incrementally maintained cohesion inputs for one stage-2 community."""
+class _Group:
+    """A stage-2 group with its internal super-edge count and weight."""
 
-    members: set[int]
-    edge_count: int = 0
-    internal_weight: float = 0.0
-    mnw_sum: float = 0.0
-
-    def cohesion_with(self, compressed: CompressedNetwork, sv: int) -> float | None:
-        links = 0
-        weight = 0.0
-        for u, w in compressed.neighbors[sv].items():
-            if u in self.members:
-                links += 1
-                weight += w
-        n = len(self.members) + 1
-        e = self.edge_count + links
-        if e == 0:
-            return None
-        ii = 2.0 * (self.internal_weight + weight) / (self.mnw_sum
-                                                      + float(compressed.mean_neighbor_weight[sv]))
-        return ii * (2.0 * e / (n * (n - 1)))
-
-    def add(self, compressed: CompressedNetwork, sv: int) -> None:
-        for u, w in compressed.neighbors[sv].items():
-            if u in self.members:
-                self.edge_count += 1
-                self.internal_weight += w
-        self.members.add(sv)
-        self.mnw_sum += float(compressed.mean_neighbor_weight[sv])
-
-    def remove(self, compressed: CompressedNetwork, sv: int) -> None:
-        self.members.discard(sv)
-        for u, w in compressed.neighbors[sv].items():
-            if u in self.members:
-                self.edge_count -= 1
-                self.internal_weight -= w
-        self.mnw_sum -= float(compressed.mean_neighbor_weight[sv])
+    members: list[int]
+    edge_count: int
+    internal_weight: float
+    mnw_sum: float
 
 
 @dataclass
 class Stage2Result:
+    """Stage-2 groups of super-vertices. ``hit_cap`` is always False: stage 2
+    terminates by construction and has no pass cap."""
+
     groups: dict[int, set[int]]
     passes: int
-    hit_cap: bool
+    hit_cap: bool = False
 
 
 def stage2_refine(compressed: CompressedNetwork,
                   config: HubConfig | None = None) -> Stage2Result:
-    """Merge super-vertices while the grown group's cohesion clears the threshold.
+    """Merge whole groups of super-vertices while the union's cohesion clears λ.
 
     Super-vertices start as singleton groups and are visited in descending
-    aggregated-degree order (ties to the lower index); each neighbor is
-    tentatively appended to the visited vertex's group and kept only if the
-    group's functional cohesion is still >= the threshold.
+    aggregated-degree order (ties to the lower index). For each neighbor, in
+    ascending order, that sits in another group, the neighbor's group merges
+    into the visited vertex's group if the union's functional cohesion is
+    >= the threshold. Passes repeat until one merges nothing. Every merge
+    removes a group, so there are at most k - 1 merges and k passes; the two
+    merged groups share a super-edge, so every multi-member group stays
+    connected and has internal edges. A union whose mean-neighbor-weight sum
+    is 0 has internal weight 0 too and is rejected.
     """
     config = config or HubConfig()
     lam = config.cohesion_threshold
     k = compressed.num_vertices
+    neighbors = compressed.neighbors
     assign = list(range(k))
-    states: dict[int, _GroupState] = {}
-    for sv in range(k):
-        state = _GroupState(members=set())
-        state.add(compressed, sv)
-        states[sv] = state
+    groups = {sv: _Group([sv], 0, 0.0, float(compressed.mean_neighbor_weight[sv]))
+              for sv in range(k)}
     order = sorted(range(k), key=lambda sv: (-float(compressed.degrees[sv]), sv))
 
     passes = 0
-    hit_cap = False
-    while True:
-        if passes >= config.max_stage2_passes:
-            warnings.warn("stage-2 pass cap reached; returning current grouping",
-                          stacklevel=2)
-            hit_cap = True
-            break
+    changed = True
+    while changed:
         passes += 1
         changed = False
         for sv in order:
             home = assign[sv]
-            for u in sorted(compressed.neighbors[sv]):
-                if assign[u] == home:
+            for u in sorted(neighbors[sv]):
+                other = assign[u]
+                if other == home:
                     continue
-                value = states[home].cohesion_with(compressed, u)
-                if value is not None and value >= lam:
-                    old = assign[u]
-                    states[old].remove(compressed, u)
-                    if not states[old].members:
-                        del states[old]
-                    states[home].add(compressed, u)
-                    assign[u] = home
-                    changed = True
-        if not changed:
-            break
-    groups = {gid: set(state.members) for gid, state in states.items()}
-    return Stage2Result(groups=groups, passes=passes, hit_cap=hit_cap)
+                a, b = groups[home], groups[other]
+                small, target = (a, other) if len(a.members) <= len(b.members) else (b, home)
+                mnw = a.mnw_sum + b.mnw_sum
+                if mnw == 0.0:
+                    continue  # all weights are 0, so the union's cohesion is 0/0
+                links = 0
+                weight = 0.0
+                for m in small.members:
+                    for v, w in neighbors[m].items():
+                        if assign[v] == target:
+                            links += 1
+                            weight += w
+                n = len(a.members) + len(b.members)
+                e = a.edge_count + b.edge_count + links
+                iw = a.internal_weight + b.internal_weight + weight
+                if 2.0 * iw / mnw * (2.0 * e / (n * (n - 1))) < lam:
+                    continue
+                for m in b.members:
+                    assign[m] = home
+                a.members.extend(b.members)
+                a.edge_count, a.internal_weight, a.mnw_sum = e, iw, mnw
+                del groups[other]
+                changed = True
+    return Stage2Result(groups={gid: set(g.members) for gid, g in groups.items()},
+                        passes=passes)
 
 
 @dataclass
@@ -506,25 +488,18 @@ class DetectionResult:
     stage2_hit_cap: bool
 
 
-def detect(network: WeightedNetwork, config: HubConfig | None = None,
-           threads: int = 1) -> DetectionResult:
-    """Run the full two-stage detection and report per-community metrics.
-
-    Detection is serial; ``threads`` is passed to ``stage1_agglomerate``,
-    which ignores it.
-    """
+def detect(network: WeightedNetwork, config: HubConfig | None = None) -> DetectionResult:
+    """Run the full two-stage detection and report per-community metrics."""
     if network.num_vertices < 1:
         raise ValueError("empty network")
     config = config or HubConfig()
     threshold = config.hub_threshold
     if threshold is None:
         threshold = mean_weighted_degree(network)
-    effective = HubConfig(hub_threshold=threshold,
-                          cohesion_threshold=config.cohesion_threshold,
-                          max_stage2_passes=config.max_stage2_passes)
+    effective = replace(config, hub_threshold=threshold)
     seeds = select_hubs(network, effective)
     hub_count = len(seeds.communities)
-    stage1 = stage1_agglomerate(network, seeds, effective, threads=threads)
+    stage1 = stage1_agglomerate(network, seeds, effective)
     compressed = compress(network, stage1.partition)
     stage2 = stage2_refine(compressed, effective)
 

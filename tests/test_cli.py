@@ -88,6 +88,33 @@ class TestDetectCommand:
         assert high["detection"]["communities"] == \
             high["detection"]["stage1_communities"]
 
+    def test_zero_weight_edge_detects(self, toy):
+        wppi = toy["out"] / "zero.tsv"
+        wppi.write_text("# wppi v1\nA\tB\t0.0\nB\tC\t0.5\n")
+        assert run("detect", "--wppi", wppi, "--output", toy["out"] / "zw") == 0
+        rows = (toy["out"] / "zw" / "communities.tsv").read_text().strip().splitlines()
+        assert len(rows) >= 3  # header + at least two communities
+
+    def test_stage2_pass_cap_is_gone(self, toy):
+        import jsonschema
+        from importlib import resources
+
+        schema = json.loads(resources.files("wppi.schemas")
+                            .joinpath("pipeline_report.schema.json").read_text())
+        assert run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--output", toy["out"] / "d") == 0
+        assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--output", toy["out"] / "p") == 0
+        for name in ("d/detect_manifest.json", "p/pipeline_manifest.json"):
+            manifest = json.loads((toy["out"] / name).read_text())
+            assert "max_stage2_passes" not in manifest["config"]
+            assert manifest["detection"]["stage2_hit_cap"] is False
+            jsonschema.validate(manifest, schema)
+        with pytest.raises(SystemExit) as info:
+            run("detect", "--wppi", toy["ppi"], "--max-stage2-passes", "4",
+                "--output", toy["out"] / "x")
+        assert info.value.code == 2
+
     def test_wppi_and_ppi_together_rejected(self, toy):
         code = run("detect", "--wppi", toy["ppi"], "--ppi", toy["ppi"],
                    "--ged", toy["ged"], "--output", toy["out"] / "z")

@@ -408,15 +408,13 @@ class TestDetect:
         result = detect(WeightedNetwork(1, []))
         assert [c.vertices for c in result.communities] == [[0]]
 
-    def test_deterministic_across_threads(self):
-        syn = planted_partition([8, 8, 8], w_out=(0.0, 0.2), seed=5)
-        base = detect(syn.network, threads=1)
-        for threads in (2, 4):
-            other = detect(syn.network, threads=threads)
-            assert [c.vertices for c in other.communities] == \
-                [c.vertices for c in base.communities]
-            assert [c.modularity for c in other.communities] == \
-                [c.modularity for c in base.communities]
+    def test_zero_weight_edges_do_not_divide_by_zero(self):
+        # A zero-weight union has mean-neighbor-weight sum 0 and is never merged.
+        result = detect(WeightedNetwork(2, [(0, 1, 0.0)]))
+        assert [c.vertices for c in result.communities] == [[0], [1]]
+        result = detect(WeightedNetwork(3, [(0, 1, 0.0), (1, 2, 0.5)]))
+        assert sorted(v for c in result.communities for v in c.vertices) == [0, 1, 2]
+        assert all(c.functional_cohesion is None for c in result.communities)
 
 class TestScaleInvariance:
     def test_stage1_output_unchanged_by_positive_scaling(self):

@@ -3,12 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wppi.detector import select_hubs, stage1_agglomerate
+from wppi.detector import (
+    HubConfig,
+    compress,
+    detect,
+    select_hubs,
+    stage1_agglomerate,
+)
 from wppi.evaluator import hypergeom_pvalue, overlap_score
 from wppi.expression import pearson, quantile_normalize_values
 from wppi.model import Partition
+from wppi.synthetic import planted_partition
 
 from .conftest import random_network
+from .oracles import cohesion_direct
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -141,3 +149,64 @@ class TestStage1TerminationProperty:
             result = stage1_agglomerate(net, select_hubs(net))
             assert not result.hit_cap
             assert result.partition.is_total()
+
+
+# The acceptance fuzz graphs: 100 seeded random graphs of 30 to 300 vertices.
+FUZZ_SIZES = [30, 45, 60, 80, 100] * 18 + [150, 180, 200, 220, 240, 260, 280, 300,
+                                           300, 300]
+LAMBDAS = (1.0, 1.5, 2.0, 3.0)
+
+
+def _connected(neighbors, group) -> bool:
+    start = next(iter(group))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in neighbors[stack.pop()]:
+            if u in group and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == group
+
+
+def _check_stage2_invariants(net, lam):
+    """detect's groups, seen as super-vertex sets, are connected, cohesive
+    (oracle cohesion >= lam) and locally maximal (no adjacent pair's union
+    clears lam)."""
+    result = detect(net, HubConfig(cohesion_threshold=lam))
+    comp = compress(net, stage1_agglomerate(net, select_hubs(net)).partition)
+    owner = {v: sv for sv, members in enumerate(comp.members) for v in members}
+    groups = [frozenset(owner[v] for v in c.vertices) for c in result.communities]
+    assert sorted(sv for g in groups for sv in g) == list(range(comp.num_vertices))
+    # Every pass but the last merges, and each merge removes a group.
+    assert result.stage2_passes <= comp.num_vertices - len(groups) + 1
+    assert result.stage2_hit_cap is False
+    group_of = {sv: gid for gid, g in enumerate(groups) for sv in g}
+    for g in groups:
+        if len(g) > 1:
+            assert _connected(comp.neighbors, g)
+            assert cohesion_direct(comp.edges, g) >= lam
+    adjacent = {(min(group_of[a], group_of[b]), max(group_of[a], group_of[b]))
+                for a, b, _ in comp.edges if group_of[a] != group_of[b]}
+    for x, y in adjacent:
+        union = groups[x] | groups[y]
+        assert not cohesion_direct(comp.edges, union) >= lam, (x, y)
+    return result
+
+
+class TestStage2Invariants:
+    def test_fuzz_graphs_at_four_lambdas(self):
+        for seed, n in enumerate(FUZZ_SIZES):
+            net = random_network(seed, n=n, p=min(0.3, 6.0 / n))
+            for lam in LAMBDAS:
+                _check_stage2_invariants(net, lam)
+
+    def test_planted_fixture_at_four_lambdas(self):
+        # The stage-2 regime of the 100-block repro in ROADMAP.md (sparse,
+        # light cross-block edges), at 30 blocks of 20.
+        syn = planted_partition([20] * 30, p_in=0.4, p_out=0.005, w_out=(0.0, 0.5),
+                                seed=1)
+        for lam in LAMBDAS:
+            result = _check_stage2_invariants(syn.network, lam)
+            assert result.stage2_passes >= 2  # at least one merge, then a quiet pass
+
