@@ -18,7 +18,6 @@ from .detector import (
     select_hubs,
     stage1_agglomerate,
     stage2_refine,
-    weighted_degree,
 )
 from .evaluator import (
     AnnotationSet,
@@ -33,7 +32,6 @@ from .expression import (
     ExpressionMatrix,
     match_genes,
     pearson,
-    pearson_flagged,
     quantile_normalize,
     quantile_normalize_values,
 )
@@ -42,7 +40,6 @@ from .model import (
     PpiNetwork,
     ProteinIndex,
     WeightedNetwork,
-    intern_proteins,
 )
 
 __all__ = [
@@ -67,17 +64,14 @@ __all__ = [
     "functional_cohesion",
     "hypergeom_pvalue",
     "interaction_intensity",
-    "intern_proteins",
     "match_complexes",
     "match_genes",
     "overlap_score",
     "pearson",
-    "pearson_flagged",
     "quantile_normalize",
     "quantile_normalize_values",
     "recall_ratio",
     "select_hubs",
     "stage1_agglomerate",
     "stage2_refine",
-    "weighted_degree",
 ]

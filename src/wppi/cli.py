@@ -41,12 +41,15 @@ def resolve_threads(requested: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, threads: bool = False,
+                report_format: bool = False) -> None:
     parser.add_argument("--output", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: WPPI_THREADS or all cores)")
-    parser.add_argument("--format", choices=("tsv", "json"), default="tsv",
-                        help="report format")
+    if threads:
+        parser.add_argument("--threads", type=int, default=None,
+                            help="worker threads (default: WPPI_THREADS or all cores)")
+    if report_format:
+        parser.add_argument("--format", choices=("tsv", "json"), default="tsv",
+                            help="report format")
 
 
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
@@ -76,15 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppi", required=True, help="interaction TSV")
     p.add_argument("--ged", required=True, help="gene expression TSV")
     _add_build_flags(p)
-    _add_common(p)
+    _add_common(p, threads=True)
 
     p = sub.add_parser("detect", help="detect communities in a weighted network")
-    p.add_argument("--wppi", help="weighted network TSV (skips the build step)")
-    p.add_argument("--ppi", help="interaction TSV (build in-process)")
-    p.add_argument("--ged", help="gene expression TSV (build in-process)")
-    p.add_argument("--emit-wppi", action="store_true",
-                   help="write the in-process weighted network alongside the results")
-    _add_build_flags(p)
+    p.add_argument("--wppi", required=True, help="weighted network TSV from build-wppi")
     _add_detect_flags(p)
     _add_common(p)
 
@@ -96,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="overlap-score match threshold")
     p.add_argument("--annotated-universe", action="store_true",
                    help="restrict the enrichment population to annotated proteins")
-    _add_common(p)
+    _add_common(p, threads=True, report_format=True)
 
     p = sub.add_parser("pipeline", help="build, detect, and evaluate in one run")
     p.add_argument("--ppi", required=True)
@@ -109,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip writing the intermediate weighted network")
     _add_build_flags(p)
     _add_detect_flags(p)
-    _add_common(p)
+    _add_common(p, threads=True, report_format=True)
 
     p = sub.add_parser("gen-synthetic", help="generate a seeded planted-partition fixture")
     p.add_argument("--blocks", default="10,10", help="comma-separated block sizes")
@@ -125,8 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_entry(path) -> dict:
-    return {"path": str(path), "sha256": fileio.sha256_file(path)}
+def _inputs(args, *names: str) -> dict:
+    """Path and sha256 of each named input file that was given."""
+    paths = {name: getattr(args, name) for name in names}
+    return {name: {"path": path, "sha256": fileio.sha256_file(path)}
+            for name, path in paths.items() if path}
+
+
+def _manifest(args, threads: int | None, inputs: dict, **sections) -> dict:
+    """Manifest with every parsed flag as config (``--lambda`` under ``lambda``)."""
+    config = {"lambda" if name == "cohesion" else name: value
+              for name, value in vars(args).items()}
+    if threads is not None:
+        config["threads"] = threads
+    return {"tool": "wppi", "version": __version__, "config": config, "inputs": inputs,
+            **sections}
 
 
 def _write_json(path, payload) -> None:
@@ -145,9 +156,6 @@ def _run_build(args, threads: int):
 
     matrix = quantile_normalize(matrix)
     mapping = fileio.load_mapping(args.mapping) if args.mapping else None
-    inputs = {"ppi": _input_entry(args.ppi), "ged": _input_entry(args.ged)}
-    if args.mapping:
-        inputs["mapping"] = _input_entry(args.mapping)
 
     started = time.perf_counter()
     result = builder.build_wppi(
@@ -170,40 +178,16 @@ def _run_build(args, threads: int):
         "weight_quantiles": _weight_quantiles(result.network),
         "build_seconds": round(elapsed, 4),
     }
-    return proteins, result, inputs, summary
-
-
-def _build_config(args, threads: int, command: str) -> dict:
-    config = {
-        "command": command,
-        "threads": threads,
-        "format": args.format,
-        "output": str(args.output),
-    }
-    for name in ("ppi", "ged", "mapping", "wppi", "catalogue", "annotations",
-                 "communities", "default_weight", "zero_as_unmatched",
-                 "d_alpha", "threshold", "annotated_universe", "no_intermediates", "emit_wppi",
-                 "blocks", "w_in", "w_out", "p_in", "p_out", "samples", "seed"):
-        if hasattr(args, name):
-            config[name] = getattr(args, name)
-    if hasattr(args, "cohesion"):
-        config["lambda"] = args.cohesion
-    return config
+    return proteins, result, summary
 
 
 def cmd_build_wppi(args) -> int:
     threads = resolve_threads(args.threads)
     out = Path(args.output)
-    proteins, result, inputs, summary = _run_build(args, threads)
+    proteins, result, summary = _run_build(args, threads)
     fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
-    manifest = {
-        "tool": "wppi",
-        "version": __version__,
-        "config": _build_config(args, threads, "build-wppi"),
-        "inputs": inputs,
-        "build": summary,
-    }
-    _write_json(out / "build_manifest.json", manifest)
+    _write_json(out / "build_manifest.json",
+                _manifest(args, threads, _inputs(args, "ppi", "ged", "mapping"), build=summary))
     print(f"vertices: {summary['vertices']}")
     print(f"edges: {summary['edges']}")
     print(f"matching ratio: {summary['matching_ratio_percent']:.2f}%")
@@ -244,35 +228,13 @@ def _detect_on(network, proteins, args):
 
 
 def cmd_detect(args) -> int:
-    threads = resolve_threads(args.threads)
     out = Path(args.output)
-    inputs = {}
-    build_summary = None
-    if args.wppi:
-        if args.ppi or args.ged:
-            raise UsageError("--wppi replaces --ppi/--ged; give one or the other")
-        proteins, network = fileio.load_wppi(args.wppi)
-        inputs["wppi"] = _input_entry(args.wppi)
-    elif args.ppi and args.ged:
-        proteins, result, inputs, build_summary = _run_build(args, threads)
-        network = result.network
-        if args.emit_wppi:
-            fileio.write_wppi(out / "wppi.tsv", proteins, network)
-    else:
-        raise UsageError("detect needs --wppi, or --ppi together with --ged")
-
+    proteins, network = fileio.load_wppi(args.wppi)
+    inputs = _inputs(args, "wppi")
     rows, summary = _detect_on(network, proteins, args)
     fileio.write_communities(out / "communities.tsv", rows)
-    manifest = {
-        "tool": "wppi",
-        "version": __version__,
-        "config": _build_config(args, threads, "detect"),
-        "inputs": inputs,
-        "detection": summary,
-    }
-    if build_summary:
-        manifest["build"] = build_summary
-    _write_json(out / "detect_manifest.json", manifest)
+    _write_json(out / "detect_manifest.json",
+                _manifest(args, None, inputs, detection=summary))
     print(f"communities: {summary['communities']}")
     print(f"stage-1 sweeps: {summary['stage1_sweeps']}, "
           f"stage-2 passes: {summary['stage2_passes']}")
@@ -355,18 +317,9 @@ def cmd_evaluate(args) -> int:
     if not args.catalogue and not args.annotations:
         raise UsageError("evaluate needs --catalogue and/or --annotations")
     communities = fileio.load_communities(args.communities)
-    inputs = {"communities": _input_entry(args.communities)}
-    for name in ("catalogue", "annotations"):
-        if getattr(args, name):
-            inputs[name] = _input_entry(getattr(args, name))
+    inputs = _inputs(args, "communities", "catalogue", "annotations")
     sections = _evaluation_sections(communities, args)
-    manifest = {
-        "tool": "wppi",
-        "version": __version__,
-        "config": _build_config(args, threads, "evaluate"),
-        "inputs": inputs,
-        "evaluation": sections,
-    }
+    manifest = _manifest(args, threads, inputs, evaluation=sections)
     if args.format == "json":
         _write_json(out / "evaluation.json", manifest)
     else:
@@ -387,10 +340,8 @@ def cmd_evaluate(args) -> int:
 def cmd_pipeline(args) -> int:
     threads = resolve_threads(args.threads)
     out = Path(args.output)
-    proteins, result, inputs, build_summary = _run_build(args, threads)
-    for name in ("catalogue", "annotations"):
-        if getattr(args, name):
-            inputs[name] = _input_entry(getattr(args, name))
+    proteins, result, build_summary = _run_build(args, threads)
+    inputs = _inputs(args, "ppi", "ged", "mapping", "catalogue", "annotations")
     if not args.no_intermediates:
         fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
     rows, detect_summary = _detect_on(result.network, proteins, args)
@@ -398,19 +349,11 @@ def cmd_pipeline(args) -> int:
 
     sections = None
     if args.catalogue or args.annotations:
-        communities = [(cid, labels, fc, q) for cid, labels, fc, q in rows]
-        sections = _evaluation_sections(communities, args)
+        sections = _evaluation_sections(rows, args)
         if args.format == "tsv":
             _write_evaluation_tsv(out, sections)
-    report = {
-        "tool": "wppi",
-        "version": __version__,
-        "config": _build_config(args, threads, "pipeline"),
-        "inputs": inputs,
-        "build": build_summary,
-        "detection": detect_summary,
-        "evaluation": sections,
-    }
+    report = _manifest(args, threads, inputs, build=build_summary,
+                       detection=detect_summary, evaluation=sections)
     name = "pipeline_report.json" if args.format == "json" else "pipeline_manifest.json"
     _write_json(out / name, report)
     print(f"vertices: {build_summary['vertices']}, edges: {build_summary['edges']}, "

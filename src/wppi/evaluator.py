@@ -2,8 +2,9 @@
 
 Two matching conventions are reported side by side because published tables
 mix them: the squared-overlap score |A∩B|^2 / (|A|·|B|) and the plain
-recall |A∩B| / |B| against the catalogue entry. Enrichment uses the exact
-hypergeometric upper tail computed in log-gamma space.
+recall |A∩B| / |B| against the catalogue entry. Enrichment sums the
+hypergeometric upper tail directly from its largest term, which is taken
+from log-binomials; the other terms follow by the term ratio.
 """
 
 from __future__ import annotations
@@ -138,9 +139,11 @@ def hypergeom_pvalue(population: int, community_size: int,
                      group_size: int, overlap: int) -> float:
     """Upper-tail probability of drawing at least ``overlap`` annotated proteins.
 
-    Computed as 1 minus the lower tail, with each term exponentiated from
-    log-binomials and accumulated by compensated summation; the result is
-    clamped into [0, 1].
+    The tail is summed directly, without a complement, so p-values far below
+    1e-16 keep their relative precision. The largest term (at the mode,
+    clamped into the tail) comes from log-binomials; the walk up and down
+    from it takes each next term from the previous one by the term ratio and
+    stops once a term falls below 1e-17 of the running sum.
     """
     if population < 0:
         raise ValueError("population must be >= 0")
@@ -152,21 +155,26 @@ def hypergeom_pvalue(population: int, community_size: int,
         raise ValueError("overlap must satisfy 0 <= overlap <= min(community, group)")
     if overlap == 0:
         return 1.0
-    log_denom = _log_comb(population, community_size)
-    total = 0.0
-    carry = 0.0
-    for i in range(overlap):
-        remaining = community_size - i
-        if remaining > population - group_size:
-            continue  # impossible draw, zero term
-        term = math.exp(_log_comb(group_size, i)
-                        + _log_comb(population - group_size, remaining)
-                        - log_denom)
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return min(1.0, max(0.0, 1.0 - total))
+    n, K, rest = community_size, group_size, population - group_size
+    lo = max(overlap, n - rest)
+    hi = min(n, K)
+    start = min(max((n + 1) * (K + 1) // (population + 2), lo), hi)
+    first = math.exp(_log_comb(K, start) + _log_comb(rest, n - start)
+                     - _log_comb(population, n))
+    total = first
+    term = first
+    for i in range(start, hi):
+        term *= (K - i) * (n - i) / ((i + 1) * (rest - n + i + 1))
+        total += term
+        if term < 1e-17 * total:
+            break
+    term = first
+    for i in range(start, lo, -1):
+        term *= i * (rest - n + i) / ((K - i + 1) * (n - i + 1))
+        total += term
+        if term < 1e-17 * total:
+            break
+    return min(1.0, total)
 
 
 @dataclass

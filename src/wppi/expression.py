@@ -78,11 +78,8 @@ def quantile_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     )
 
 
-def pearson_flagged(x, y) -> tuple[float, bool]:
-    """Population correlation of two vectors plus a zero-variance flag.
-
-    Returns (0.0, True) when either vector is constant.
-    """
+def pearson(x, y) -> float:
+    """Population correlation of two expression vectors (0.0 for constant input)."""
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
@@ -92,15 +89,10 @@ def pearson_flagged(x, y) -> tuple[float, bool]:
     sa = float(a.std())
     sb = float(b.std())
     if sa == 0.0 or sb == 0.0:
-        return 0.0, True
+        return 0.0
     za = (a - a.mean()) / sa
     zb = (b - b.mean()) / sb
-    return float((za * zb).mean()), False
-
-
-def pearson(x, y) -> float:
-    """Population correlation of two expression vectors (0.0 for constant input)."""
-    return pearson_flagged(x, y)[0]
+    return float((za * zb).mean())
 
 
 def standardize_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

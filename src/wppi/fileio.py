@@ -17,7 +17,7 @@ import numpy as np
 
 from .evaluator import AnnotationSet, ComplexCatalogue
 from .expression import ExpressionMatrix
-from .model import PpiNetwork, ProteinIndex, WeightedNetwork, intern_proteins
+from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
 WPPI_HEADER = "# wppi v1"
 MISSING_ROW_LIMIT = 0.5
@@ -75,7 +75,7 @@ def load_ppi(path) -> tuple[ProteinIndex, PpiNetwork]:
         labels.append(cols[1])
     if not pairs:
         raise InputError(f"{path}: no interactions found")
-    proteins = intern_proteins(labels)
+    proteins = ProteinIndex(labels)
     network = PpiNetwork(len(proteins))
     for a, b in pairs:
         network.add_edge(proteins.index_of(a), proteins.index_of(b))
@@ -93,40 +93,36 @@ def load_expression(path) -> ExpressionMatrix:
     dropped: list[str] = []
     expected = None
     header_seen = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
+    for line_no, line in _data_lines(path):
+        cols = line.split("\t")
+        if not header_seen:
+            if len(cols) < 2:
+                _fail(path, line_no, "header must name at least one sample")
+            sample_names = cols[1:]
+            expected = len(sample_names)
+            header_seen = True
+            continue
+        if len(cols) - 1 != expected:
+            _fail(path, line_no,
+                  f"expected {expected} sample values, found {len(cols) - 1}")
+        gene = cols[0]
+        if not gene:
+            _fail(path, line_no, "missing gene label")
+        values: list[float] = []
+        missing = 0
+        for c, cell in enumerate(cols[1:], start=1):
+            if cell == "":
+                values.append(math.nan)
+                missing += 1
                 continue
-            cols = line.split("\t")
-            if not header_seen:
-                if len(cols) < 2:
-                    _fail(path, line_no, "header must name at least one sample")
-                sample_names = cols[1:]
-                expected = len(sample_names)
-                header_seen = True
-                continue
-            if len(cols) - 1 != expected:
-                _fail(path, line_no,
-                      f"expected {expected} sample values, found {len(cols) - 1}")
-            gene = cols[0]
-            if not gene:
-                _fail(path, line_no, "missing gene label")
-            values: list[float] = []
-            missing = 0
-            for c, cell in enumerate(cols[1:], start=1):
-                if cell == "":
-                    values.append(math.nan)
-                    missing += 1
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    _fail(path, line_no, f"column {c + 1}: not a number: {cell!r}")
-            if missing > MISSING_ROW_LIMIT * expected:
-                dropped.append(gene)
-                continue
-            rows.append((gene, values))
+            try:
+                values.append(float(cell))
+            except ValueError:
+                _fail(path, line_no, f"column {c + 1}: not a number: {cell!r}")
+        if missing > MISSING_ROW_LIMIT * expected:
+            dropped.append(gene)
+            continue
+        rows.append((gene, values))
     if not header_seen:
         raise InputError(f"{path}: empty expression file")
     if not rows:
@@ -181,7 +177,7 @@ def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
         labels.append(cols[1])
     if not edges:
         raise InputError(f"{path}: no weighted edges found")
-    proteins = intern_proteins(labels)
+    proteins = ProteinIndex(labels)
     network = WeightedNetwork(
         len(proteins),
         [(proteins.index_of(a), proteins.index_of(b), w) for a, b, w in edges],

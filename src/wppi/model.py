@@ -45,11 +45,6 @@ class ProteinIndex:
         return self._labels[index]
 
 
-def intern_proteins(labels: Iterable[str]) -> ProteinIndex:
-    """Intern protein labels into dense indices (duplicates collapse to the first)."""
-    return ProteinIndex(labels)
-
-
 class PpiNetwork:
     """Undirected, unweighted interaction network over interned vertices.
 

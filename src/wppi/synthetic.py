@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PpiNetwork, ProteinIndex, WeightedNetwork, intern_proteins
+from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
 
 @dataclass
@@ -64,7 +64,7 @@ def planted_partition(block_sizes: list[int],
             if keep:
                 edges.append((i, j, float(rng.uniform(lo, hi))))
     labels = [f"P{i:04d}" for i in range(n)]
-    proteins = intern_proteins(labels)
+    proteins = ProteinIndex(labels)
     return SyntheticNetwork(proteins=proteins,
                             network=WeightedNetwork(n, edges),
                             blocks=blocks)

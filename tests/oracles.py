@@ -71,23 +71,20 @@ def community_q_direct(edges, members, eps=1e-12) -> float:
 
 
 def compress_direct(edges, num_vertices, groups):
-    """(degrees, self_weights, cross dict) for explicit vertex groups."""
+    """(degrees, cross dict) for explicit vertex groups."""
     owner = {}
     for g, group in enumerate(groups):
         for v in group:
             owner[v] = g
     degrees = [0.0] * len(groups)
-    selfs = [0.0] * len(groups)
     cross: dict[tuple[int, int], float] = {}
     for i, j, w in edges:
         degrees[owner[i]] += w
         degrees[owner[j]] += w
-        if owner[i] == owner[j]:
-            selfs[owner[i]] += w
-        else:
+        if owner[i] != owner[j]:
             key = tuple(sorted((owner[i], owner[j])))
             cross[key] = cross.get(key, 0.0) + w
-    return degrees, selfs, cross
+    return degrees, cross
 
 
 def interaction_intensity_direct(super_edges, members) -> float:

@@ -6,13 +6,13 @@ import pytest
 
 from wppi.builder import build_wppi
 from wppi.expression import ExpressionMatrix, quantile_normalize
-from wppi.model import PpiNetwork, intern_proteins
+from wppi.model import PpiNetwork, ProteinIndex
 
 from .oracles import fallback_mean_direct, wppi_weights_direct
 
 
 def make_inputs(labels, edges, gene_values, gene_labels=None):
-    proteins = intern_proteins(labels)
+    proteins = ProteinIndex(labels)
     ppi = PpiNetwork(len(proteins))
     for a, b in edges:
         ppi.add_edge(proteins.index_of(a), proteins.index_of(b))
@@ -183,7 +183,7 @@ class TestBuildWppi:
         assert w == 0.5  # no nonzero matched edges remain, global default
 
     def test_empty_edge_set_rejected(self):
-        proteins = intern_proteins(["A", "B"])
+        proteins = ProteinIndex(["A", "B"])
         ppi = PpiNetwork(2)
         matrix = ExpressionMatrix(gene_index={"A": 0}, values=np.zeros((1, 3)),
                                   sample_names=["a", "b", "c"])

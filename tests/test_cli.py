@@ -23,6 +23,27 @@ def toy(tmp_path):
     }
 
 
+@pytest.fixture
+def toy_run(toy):
+    """A pipeline run on the toy fixture: its wppi.tsv and communities.tsv feed later steps."""
+    out = toy["out"] / "run"
+    assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"], "--output", out) == 0
+    return out
+
+
+CONFIG_KEYS = {
+    "build-wppi": {"command", "output", "threads", "ppi", "ged", "mapping",
+                   "default_weight", "zero_as_unmatched"},
+    "detect": {"command", "output", "wppi", "d_alpha", "lambda"},
+    "evaluate": {"command", "output", "threads", "format", "communities", "catalogue",
+                 "annotations", "threshold", "annotated_universe"},
+    "pipeline": {"command", "output", "threads", "format", "ppi", "ged", "mapping",
+                 "catalogue", "annotations", "threshold", "annotated_universe",
+                 "no_intermediates", "default_weight", "zero_as_unmatched", "d_alpha",
+                 "lambda"},
+}
+
+
 class TestBuildCommand:
     def test_toy_fixture_builds_forty_rows(self, toy, capsys):
         code = run("build-wppi", "--ppi", toy["ppi"], "--ged", toy["ged"],
@@ -70,13 +91,6 @@ class TestDetectCommand:
         assert manifest["detection"]["communities"] == 2
         assert "stage1_sweeps" in manifest["detection"]
 
-    def test_detect_builds_in_process(self, toy):
-        code = run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                   "--emit-wppi", "--output", toy["out"] / "d2")
-        assert code == 0
-        assert (toy["out"] / "d2" / "wppi.tsv").exists()
-        assert (toy["out"] / "d2" / "communities.tsv").exists()
-
     def test_huge_lambda_keeps_stage1_communities(self, toy):
         assert run("gen-synthetic", "--output", toy["out"] / "s", "--seed", "5",
                    "--samples", "0") == 0
@@ -95,50 +109,39 @@ class TestDetectCommand:
         rows = (toy["out"] / "zw" / "communities.tsv").read_text().strip().splitlines()
         assert len(rows) >= 3  # header + at least two communities
 
-    def test_stage2_pass_cap_is_gone(self, toy):
+    def test_stage2_pass_cap_is_gone(self, toy, toy_run):
         import jsonschema
         from importlib import resources
 
         schema = json.loads(resources.files("wppi.schemas")
                             .joinpath("pipeline_report.schema.json").read_text())
-        assert run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                   "--output", toy["out"] / "d") == 0
-        assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                   "--output", toy["out"] / "p") == 0
-        for name in ("d/detect_manifest.json", "p/pipeline_manifest.json"):
-            manifest = json.loads((toy["out"] / name).read_text())
+        assert run("detect", "--wppi", toy_run / "wppi.tsv", "--output", toy["out"] / "d") == 0
+        for path in (toy["out"] / "d" / "detect_manifest.json",
+                     toy_run / "pipeline_manifest.json"):
+            manifest = json.loads(path.read_text())
             assert "max_stage2_passes" not in manifest["config"]
             assert manifest["detection"]["stage2_hit_cap"] is False
-            jsonschema.validate(manifest, schema)
+        jsonschema.validate(json.loads((toy_run / "pipeline_manifest.json").read_text()), schema)
         with pytest.raises(SystemExit) as info:
             run("detect", "--wppi", toy["ppi"], "--max-stage2-passes", "4",
                 "--output", toy["out"] / "x")
         assert info.value.code == 2
 
-    def test_wppi_and_ppi_together_rejected(self, toy):
-        code = run("detect", "--wppi", toy["ppi"], "--ppi", toy["ppi"],
-                   "--ged", toy["ged"], "--output", toy["out"] / "z")
-        assert code == 2
-
     def test_rerun_is_byte_identical(self, toy):
         for name in ("r1", "r2"):
-            assert run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                       "--output", toy["out"] / name) == 0
-        a = (toy["out"] / "r1" / "communities.tsv").read_bytes()
-        b = (toy["out"] / "r2" / "communities.tsv").read_bytes()
-        assert a == b
+            out = toy["out"] / name
+            assert run("build-wppi", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                       "--output", out) == 0
+            assert run("detect", "--wppi", out / "wppi.tsv", "--output", out) == 0
+        for name in ("wppi.tsv", "communities.tsv"):
+            a = (toy["out"] / "r1" / name).read_bytes()
+            b = (toy["out"] / "r2" / name).read_bytes()
+            assert a == b, name
 
 
 class TestEvaluateCommand:
-    def _detect(self, toy):
-        out = toy["out"] / "det"
-        if not (out / "communities.tsv").exists():
-            assert run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                       "--output", out) == 0
-        return out / "communities.tsv"
-
-    def test_reports_written(self, toy):
-        communities = self._detect(toy)
+    def test_reports_written(self, toy, toy_run):
+        communities = toy_run / "communities.tsv"
         code = run("evaluate", "--communities", communities,
                    "--catalogue", toy["catalogue"],
                    "--annotations", toy["annotations"],
@@ -151,8 +154,8 @@ class TestEvaluateCommand:
         manifest = json.loads((out / "evaluate_manifest.json").read_text())
         assert "complex_matching" in manifest["evaluation"]
 
-    def test_threshold_sweep_monotone(self, toy):
-        communities = self._detect(toy)
+    def test_threshold_sweep_monotone(self, toy, toy_run):
+        communities = toy_run / "communities.tsv"
         assert run("evaluate", "--communities", communities,
                    "--catalogue", toy["catalogue"],
                    "--output", toy["out"] / "sweep") == 0
@@ -161,8 +164,8 @@ class TestEvaluateCommand:
                   for line in rows.strip().splitlines()[1:]]
         assert counts == sorted(counts, reverse=True)
 
-    def test_self_catalogue_all_matched(self, toy, tmp_path):
-        communities = self._detect(toy)
+    def test_self_catalogue_all_matched(self, toy, toy_run, tmp_path):
+        communities = toy_run / "communities.tsv"
         from wppi import fileio
 
         rows = fileio.load_communities(communities)
@@ -178,16 +181,16 @@ class TestEvaluateCommand:
         block = manifest["evaluation"]["complex_matching"]
         assert block["matched"] == block["total"]
 
-    def test_json_format_single_document(self, toy):
-        communities = self._detect(toy)
+    def test_json_format_single_document(self, toy, toy_run):
+        communities = toy_run / "communities.tsv"
         assert run("evaluate", "--communities", communities,
                    "--annotations", toy["annotations"], "--format", "json",
                    "--output", toy["out"] / "ej") == 0
         doc = json.loads((toy["out"] / "ej" / "evaluation.json").read_text())
         assert doc["evaluation"]["enrichment"]["records"]
 
-    def test_needs_some_reference(self, toy):
-        communities = self._detect(toy)
+    def test_needs_some_reference(self, toy, toy_run):
+        communities = toy_run / "communities.tsv"
         assert run("evaluate", "--communities", communities,
                    "--output", toy["out"] / "none") == 2
 
@@ -251,6 +254,23 @@ class TestPipelineCommand:
         assert len(report["inputs"]["ged"]["sha256"]) == 64
 
 
+class TestManifestConfig:
+    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    def test_config_keys_are_the_flags_the_command_takes(self, toy, toy_run, command):
+        argv, manifest = {
+            "build-wppi": (("--ppi", toy["ppi"], "--ged", toy["ged"]), "build_manifest.json"),
+            "detect": (("--wppi", toy_run / "wppi.tsv"), "detect_manifest.json"),
+            "evaluate": (("--communities", toy_run / "communities.tsv",
+                          "--catalogue", toy["catalogue"]), "evaluate_manifest.json"),
+            "pipeline": (("--ppi", toy["ppi"], "--ged", toy["ged"]), "pipeline_manifest.json"),
+        }[command]
+        out = toy["out"] / "m"
+        assert run(command, *argv, "--output", out) == 0
+        config = json.loads((out / manifest).read_text())["config"]
+        assert set(config) == CONFIG_KEYS[command]
+        assert config["command"] == command
+
+
 class TestGenSynthetic:
     def test_writes_all_files(self, tmp_path):
         assert run("gen-synthetic", "--output", tmp_path, "--blocks", "6,6",
@@ -270,33 +290,50 @@ class TestGenSynthetic:
 
 
 class TestExitCodes:
-    def test_computation_failure_is_exit_one(self, toy, monkeypatch):
+    @staticmethod
+    def detecting_runs(toy, toy_run):
+        """Both routes into the detector: detect on a wppi.tsv, and pipeline."""
+        yield ("detect", "--wppi", toy_run / "wppi.tsv")
+        yield ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"])
+
+    def test_computation_failure_is_exit_one(self, toy, toy_run, monkeypatch):
         import wppi.cli as cli_module
 
         def broken(*args, **kwargs):
             raise RuntimeError("simulated detector crash")
 
         monkeypatch.setattr(cli_module.detector, "detect", broken)
-        code = run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                   "--output", toy["out"] / "crash")
-        assert code == 1
+        for argv in self.detecting_runs(toy, toy_run):
+            assert run(*argv, "--output", toy["out"] / "crash") == 1, argv[0]
 
-    def test_detector_value_error_is_exit_one(self, toy, monkeypatch, capsys):
+    def test_detector_value_error_is_exit_one(self, toy, toy_run, monkeypatch, capsys):
         import wppi.cli as cli_module
 
         def broken(*args, **kwargs):
             raise ValueError("no internal edges")
 
         monkeypatch.setattr(cli_module.detector, "detect", broken)
-        code = run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                   "--output", toy["out"] / "crash")
-        assert code == 1
-        assert "computation failed: detect: no internal edges" in capsys.readouterr().err
+        for argv in self.detecting_runs(toy, toy_run):
+            assert run(*argv, "--output", toy["out"] / "crash") == 1, argv[0]
+            assert "computation failed: detect: no internal edges" in capsys.readouterr().err
 
-    def test_bad_lambda_is_usage_error(self, toy):
-        code = run("detect", "--ppi", toy["ppi"], "--ged", toy["ged"],
-                   "--lambda", "0", "--output", toy["out"] / "bad")
-        assert code == 2
+    def test_bad_lambda_is_usage_error(self, toy, toy_run):
+        for argv in self.detecting_runs(toy, toy_run):
+            assert run(*argv, "--lambda", "0", "--output", toy["out"] / "bad") == 2, argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("build-wppi", "--ppi", "ppi", "--ged", "ged", "--format", "tsv"),
+        ("detect", "--wppi", "wppi", "--format", "tsv"),
+        ("detect", "--wppi", "wppi", "--threads", "1"),
+        ("detect", "--ppi", "ppi", "--ged", "ged"),
+        ("gen-synthetic", "--format", "tsv"),
+        ("gen-synthetic", "--threads", "1"),
+    ])
+    def test_flag_the_command_does_not_take_is_usage_error(self, toy, toy_run, argv):
+        paths = {"ppi": toy["ppi"], "ged": toy["ged"], "wppi": toy_run / "wppi.tsv"}
+        with pytest.raises(SystemExit) as info:
+            run(*(paths.get(a, a) for a in argv), "--output", toy["out"] / "x")
+        assert info.value.code == 2
 
     def test_toy_pipeline_under_five_seconds(self, toy):
         import time

@@ -15,7 +15,6 @@ from wppi.detector import (
     select_hubs,
     stage1_agglomerate,
     stage2_refine,
-    weighted_degree,
 )
 from wppi.model import Partition, WeightedNetwork
 from wppi.synthetic import planted_partition
@@ -34,15 +33,15 @@ from .oracles import (
 class TestWeightedDegree:
     def test_isolated_vertex(self):
         net = WeightedNetwork(3, [(0, 1, 0.7)])
-        assert weighted_degree(net, 2) == 0.0
+        assert net.weighted_degree(2) == 0.0
 
     def test_star_center(self, star_half):
-        assert weighted_degree(star_half, 0) == pytest.approx(
+        assert star_half.weighted_degree(0) == pytest.approx(
             weighted_degree_direct(star_half.edges(), 0))
-        assert weighted_degree(star_half, 0) == pytest.approx(1.5)
+        assert star_half.weighted_degree(0) == pytest.approx(1.5)
 
     def test_star_leaf(self, star_half):
-        assert weighted_degree(star_half, 1) == 0.5
+        assert star_half.weighted_degree(1) == 0.5
 
 
 class TestSelectHubs:
@@ -243,7 +242,6 @@ class TestCompress:
         comp = compress(two_triangles, part)
         assert comp.num_vertices == 6
         assert [(i, j, w) for i, j, w in comp.edges] == two_triangles.edges()
-        assert np.all(comp.self_weights == 0.0)
 
     def test_two_triangles_compression(self, two_triangles):
         part = Partition.from_communities(two_triangles, [[0, 1, 2], [3, 4, 5]])
@@ -252,18 +250,17 @@ class TestCompress:
         assert comp.edges == [(0, 1, pytest.approx(0.1))]
         assert comp.degrees[0] == pytest.approx(6.1)
         assert comp.degrees[1] == pytest.approx(6.1)
-        assert comp.self_weights[0] == pytest.approx(3.0)
-        degrees, selfs, cross = compress_direct(
+        degrees, cross = compress_direct(
             two_triangles.edges(), 6, [[0, 1, 2], [3, 4, 5]])
         assert list(comp.degrees) == pytest.approx(degrees)
-        assert list(comp.self_weights) == pytest.approx(selfs)
+        assert comp.edges == [(a, b, pytest.approx(w)) for (a, b), w in sorted(cross.items())]
 
     def test_whole_graph_one_supervertex(self, two_triangles):
         part = Partition.from_communities(two_triangles, [list(range(6))])
         comp = compress(two_triangles, part)
         assert comp.num_vertices == 1
         assert comp.edges == []
-        assert comp.self_weights[0] == pytest.approx(6.1)
+        assert comp.degrees[0] == pytest.approx(12.2)
 
     def test_degree_conservation(self):
         for seed in range(6):

@@ -154,6 +154,18 @@ class TestHypergeomPvalue:
                         assert math.isclose(got, expected, abs_tol=1e-10), (
                             population, community, group, overlap)
 
+    def test_relative_accuracy_against_exact_integers(self):
+        for case in [
+            (6000, 20, 20, 15),          # 6.8e-37: 1 - lower tail rounds it to 0
+            (6000, 50, 40, 10),
+            (16000, 2000, 8000, 1),      # overlap far below the mode; its own term underflows
+            (100000, 5000, 5000, 800),   # 3.7e-197
+        ]:
+            expected = hypergeom_tail_exact(*case)
+            assert expected > 0.0
+            got = hypergeom_pvalue(*case)
+            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=0.0), (case, got, expected)
+
     def test_large_arguments_stay_finite_and_clamped(self):
         p = hypergeom_pvalue(20000, 250, 1200, 40)
         assert 0.0 <= p <= 1.0

@@ -5,12 +5,11 @@ from wppi.expression import (
     ExpressionMatrix,
     match_genes,
     pearson,
-    pearson_flagged,
     quantile_normalize,
     quantile_normalize_values,
     standardize_rows,
 )
-from wppi.model import intern_proteins
+from wppi.model import ProteinIndex
 
 from .oracles import pearson_direct, quantile_normalize_direct, quantile_normalize_loop
 
@@ -100,9 +99,12 @@ class TestPearson:
         assert pearson([1, 2, 4], [2, 2, 5]) == pytest.approx(expected, abs=1e-12)
 
     def test_constant_vector_flagged(self):
-        value, flagged = pearson_flagged([1.0, 1.0, 1.0], [1, 2, 3])
-        assert value == 0.0
-        assert flagged
+        # constant input correlates 0; the build counts it through the row mask
+        assert pearson([1.0, 1.0, 1.0], [1, 2, 3]) == 0.0
+        assert pearson([1, 2, 3], [1.0, 1.0, 1.0]) == 0.0
+        z, flat = standardize_rows(np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]))
+        assert flat.tolist() == [True, False]
+        assert np.all(z[0] == 0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
@@ -128,19 +130,19 @@ class TestPearson:
 
 class TestMatchGenes:
     def test_full_match(self):
-        proteins = intern_proteins(["A", "B"])
+        proteins = ProteinIndex(["A", "B"])
         matched = match_genes(proteins, matrix_of([[1, 2], [3, 4]], ["A", "B"]))
         assert matched.ratio_percent == 100.0
         assert matched.rows == [0, 1]
 
     def test_no_match(self):
-        proteins = intern_proteins(["X", "Y"])
+        proteins = ProteinIndex(["X", "Y"])
         matched = match_genes(proteins, matrix_of([[1, 2]], ["A"]))
         assert matched.ratio_percent == 0.0
         assert matched.rows == [None, None]
 
     def test_mapping_table_redirects(self):
-        proteins = intern_proteins(["P1", "P2"])
+        proteins = ProteinIndex(["P1", "P2"])
         matrix = matrix_of([[1, 2], [3, 4]], ["gA", "gB"])
         matched = match_genes(proteins, matrix, {"P1": "gB", "P2": "gMissing"})
         assert matched.rows == [1, None]
@@ -148,7 +150,7 @@ class TestMatchGenes:
 
     def test_ratio_formats_like_reports(self):
         # synthetic stand-in for a realistic high-coverage match ratio
-        proteins = intern_proteins([f"P{i}" for i in range(173)])
+        proteins = ProteinIndex([f"P{i}" for i in range(173)])
         genes = [f"P{i}" for i in range(170)]
         matrix = matrix_of(np.zeros((170, 2)), genes)
         matched = match_genes(proteins, matrix)

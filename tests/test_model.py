@@ -1,31 +1,31 @@
 import numpy as np
 import pytest
 
-from wppi.model import Partition, PpiNetwork, WeightedNetwork, intern_proteins
+from wppi.model import Partition, PpiNetwork, ProteinIndex, WeightedNetwork
 
 from .conftest import random_network
 
 
 class TestInternProteins:
     def test_duplicates_collapse(self):
-        idx = intern_proteins(["A", "B", "A"])
+        idx = ProteinIndex(["A", "B", "A"])
         assert len(idx) == 2
         assert idx.index_of("A") == 0
         assert idx.index_of("B") == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no proteins"):
-            intern_proteins([])
+            ProteinIndex([])
 
     def test_large_label_set_gets_contiguous_indices(self):
         labels = [f"Y{i:05d}" for i in range(6391)]
-        idx = intern_proteins(labels)
+        idx = ProteinIndex(labels)
         assert len(idx) == 6391
         assert [idx.index_of(lbl) for lbl in labels] == list(range(6391))
         assert idx.label_of(6390) == "Y06390"
 
     def test_first_appearance_order(self):
-        idx = intern_proteins(["Z", "A", "Z", "M"])
+        idx = ProteinIndex(["Z", "A", "Z", "M"])
         assert idx.labels == ["Z", "A", "M"]
 
 
@@ -133,7 +133,7 @@ class TestRoundTrip:
 
         rng = np.random.default_rng(3)
         net = random_network(11, n=30, p=0.2)
-        labels = intern_proteins([f"P{i}" for i in range(net.num_vertices)])
+        labels = ProteinIndex([f"P{i}" for i in range(net.num_vertices)])
         path = tmp_path / "net.tsv"
         write_wppi(path, labels, net)
         labels2, net2 = load_wppi(path)
