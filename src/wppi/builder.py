@@ -72,7 +72,7 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
         raise ValueError("empty network")
     matching = match_genes(proteins, matrix, mapping)
 
-    src, dst = ppi.edge_arrays()
+    src, dst = ppi.edge_src, ppi.edge_dst
     row_arr = np.array([-1 if r is None else r for r in matching.rows], dtype=np.int64)
     both_matched = (row_arr[src] >= 0) & (row_arr[dst] >= 0)
 
@@ -86,13 +86,9 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
             out[sel] = _correlation_kernel(z, row_arr[src[e]], row_arr[dst[e]])
         return out
 
-    edges = np.arange(src.size)
-    if threads <= 1:
-        abs_corr = kernel(edges)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            chunks = executor.map(kernel, np.array_split(edges, threads))
-            abs_corr = np.concatenate(list(chunks))
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        chunks = executor.map(kernel, np.array_split(np.arange(src.size), threads))
+        abs_corr = np.concatenate(list(chunks))
 
     matched_idx = np.flatnonzero(both_matched)
     zero_variance_edges = int(np.sum(zero_var[row_arr[src[matched_idx]]]

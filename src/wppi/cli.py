@@ -221,7 +221,6 @@ def _detect_on(network, proteins, args):
         "stage1_moves": result.stage1_moves,
         "stage1_steals": result.stage1_steals,
         "stage2_passes": result.stage2_passes,
-        "stage2_hit_cap": result.stage2_hit_cap,
         "detect_seconds": round(elapsed, 4),
     }
     return rows, summary

@@ -387,7 +387,8 @@ class _Group:
 @dataclass
 class Stage2Result:
     """Stage-2 groups of super-vertices. ``hit_cap`` is always False: stage 2
-    terminates by construction and has no pass cap."""
+    terminates by construction and has no pass cap. The field stays only
+    because the benchmark's traced pass still reads it."""
 
     groups: dict[int, set[int]]
     passes: int
@@ -476,7 +477,6 @@ class DetectionResult:
     stage1_moves: int
     stage1_steals: int
     stage2_passes: int
-    stage2_hit_cap: bool
 
 
 def detect(network: WeightedNetwork, config: HubConfig | None = None) -> DetectionResult:
@@ -525,5 +525,4 @@ def detect(network: WeightedNetwork, config: HubConfig | None = None) -> Detecti
         stage1_moves=stage1.moves,
         stage1_steals=stage1.steals,
         stage2_passes=stage2.passes,
-        stage2_hit_cap=stage2.hit_cap,
     )

@@ -62,24 +62,30 @@ def _data_lines(path):
             yield line_no, line
 
 
+def _index_pairs(rows) -> tuple[ProteinIndex, np.ndarray, np.ndarray]:
+    """Intern the labels of (a, b, ...) rows in order of first appearance.
+
+    Returns the index and the (src, dst) vertex arrays of the rows; both
+    network loaders pass through here, so it alone fixes vertex order.
+    """
+    labels = [label for row in rows for label in row[:2]]
+    proteins = ProteinIndex(labels)
+    idx = np.fromiter(map(proteins.index_of, labels), dtype=np.int64, count=len(labels))
+    return proteins, idx[0::2], idx[1::2]
+
+
 def load_ppi(path) -> tuple[ProteinIndex, PpiNetwork]:
     """Two-column interaction TSV (extra columns ignored, '#' lines skipped)."""
-    pairs: list[tuple[str, str]] = []
-    labels: list[str] = []
+    rows: list[list[str]] = []
     for line_no, line in _data_lines(path):
         cols = line.split("\t")
         if len(cols) < 2 or not cols[0] or not cols[1]:
             _fail(path, line_no, "expected two tab-separated protein labels")
-        pairs.append((cols[0], cols[1]))
-        labels.append(cols[0])
-        labels.append(cols[1])
-    if not pairs:
+        rows.append(cols)
+    if not rows:
         raise InputError(f"{path}: no interactions found")
-    proteins = ProteinIndex(labels)
-    network = PpiNetwork(len(proteins))
-    for a, b in pairs:
-        network.add_edge(proteins.index_of(a), proteins.index_of(b))
-    return proteins, network
+    proteins, src, dst = _index_pairs(rows)
+    return proteins, PpiNetwork(len(proteins), src, dst)
 
 
 def load_expression(path) -> ExpressionMatrix:
@@ -162,27 +168,21 @@ def write_wppi(path, proteins: ProteinIndex, network: WeightedNetwork) -> None:
 
 
 def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
-    edges: list[tuple[str, str, float]] = []
-    labels: list[str] = []
+    rows: list[list[str]] = []
+    weights: list[float] = []
     for line_no, line in _data_lines(path):
         cols = line.split("\t")
         if len(cols) != 3:
             _fail(path, line_no, "expected protein_a, protein_b, weight")
         try:
-            w = float(cols[2])
+            weights.append(float(cols[2]))
         except ValueError:
             _fail(path, line_no, f"not a number: {cols[2]!r}")
-        edges.append((cols[0], cols[1], w))
-        labels.append(cols[0])
-        labels.append(cols[1])
-    if not edges:
+        rows.append(cols)
+    if not rows:
         raise InputError(f"{path}: no weighted edges found")
-    proteins = ProteinIndex(labels)
-    network = WeightedNetwork(
-        len(proteins),
-        [(proteins.index_of(a), proteins.index_of(b), w) for a, b, w in edges],
-    )
-    return proteins, network
+    proteins, src, dst = _index_pairs(rows)
+    return proteins, WeightedNetwork.from_arrays(len(proteins), src, dst, np.array(weights))
 
 
 def load_catalogue(path) -> ComplexCatalogue:

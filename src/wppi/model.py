@@ -1,6 +1,9 @@
 """Core graph model: interned protein identifiers, interaction networks, partitions.
 
 Networks are immutable once constructed and safe to share across threads.
+Both network types hold their edges as canonical index arrays (i < j,
+sorted lexicographically), put in that order by one function,
+``_canonical``.
 A Partition is mutated only by a single writer (the detector); it keeps
 per-community weight sums incrementally so modularity queries are O(1).
 """
@@ -28,9 +31,6 @@ class ProteinIndex:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._labels)
 
@@ -45,55 +45,50 @@ class ProteinIndex:
         return self._labels[index]
 
 
+def _canonical(num_vertices: int, src: np.ndarray,
+               dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort of undirected edges by the key ``lo * n + hi``.
+
+    Returns the sorted keys, the sorting permutation and a mask of the sorted
+    positions whose key repeats the one before (the first occurrence is
+    kept unmasked). Raises ``ValueError`` on a vertex outside [0, n).
+    """
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    if lo.size and (int(lo.min()) < 0 or int(hi.max()) >= num_vertices):
+        raise ValueError("vertex out of range")
+    key = lo * np.int64(num_vertices) + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[1:] = key[1:] == key[:-1]
+    return key, order, repeat
+
+
 class PpiNetwork:
     """Undirected, unweighted interaction network over interned vertices.
 
-    Duplicate edges are ignored (first occurrence kept) and self-loops are
-    dropped with a counted warning; both counters stay available on the
-    instance for reporting.
+    Built from (src, dst) index arrays. Self-loops are dropped (an
+    out-of-range self-loop too) and repeats, in either direction, keep their
+    first occurrence; both are counted on the instance for reporting.
+    ``edge_src``/``edge_dst`` hold the edges with i < j, sorted
+    lexicographically.
     """
 
-    def __init__(self, num_vertices: int):
+    def __init__(self, num_vertices: int, src, dst):
         if num_vertices < 1:
             raise ValueError("empty network")
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        loop = src == dst
+        key, _, repeat = _canonical(num_vertices, src[~loop], dst[~loop])
+        key = key[~repeat]
         self.num_vertices = num_vertices
-        self._edges: set[tuple[int, int]] = set()
-        self.self_loops_dropped = 0
-        self.duplicates_dropped = 0
-
-    def add_edge(self, i: int, j: int) -> bool:
-        """Record an undirected edge. Returns True if the edge is new."""
-        if i == j:
-            self.self_loops_dropped += 1
-            return False
-        if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
-            raise ValueError(f"vertex out of range: ({i}, {j})")
-        key = (i, j) if i < j else (j, i)
-        if key in self._edges:
-            self.duplicates_dropped += 1
-            return False
-        self._edges.add(key)
-        return True
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical (src, dst) index arrays, i < j, sorted lexicographically."""
-        if not self._edges:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        arr = np.fromiter((v for pair in self._edges for v in pair),
-                          dtype=np.int64, count=2 * len(self._edges))
-        src = arr[0::2]
-        dst = arr[1::2]
-        order = np.argsort(src * np.int64(self.num_vertices) + dst, kind="stable")
-        return src[order], dst[order]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges as (i, j) with i < j, sorted lexicographically."""
-        src, dst = self.edge_arrays()
-        return list(zip(src.tolist(), dst.tolist()))
+        self.edge_src = key // num_vertices
+        self.edge_dst = key % num_vertices
+        self.edge_count = int(key.size)
+        self.self_loops_dropped = int(np.count_nonzero(loop))
+        self.duplicates_dropped = int(np.count_nonzero(repeat))
 
 
 class WeightedNetwork:
@@ -133,28 +128,16 @@ class WeightedNetwork:
         if np.any(src == dst):
             v = int(src[np.argmax(src == dst)])
             raise ValueError(f"self-loop not allowed: ({v}, {v})")
-        if src.size and (int(min(src.min(), dst.min())) < 0
-                         or int(max(src.max(), dst.max())) >= num_vertices):
-            raise ValueError("vertex out of range")
+        key, order, repeat = _canonical(num_vertices, src, dst)
         if wgt.size and (float(wgt.min()) < 0.0 or float(wgt.max()) > 1.0):
             bad = wgt[(wgt < 0.0) | (wgt > 1.0)][0]
             raise ValueError(f"weight out of range [0, 1]: {bad!r}")
-
-        # canonical order: i < j, sorted lexicographically, duplicates collapsed
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        key = lo * np.int64(num_vertices) + hi
-        order = np.argsort(key, kind="stable")
-        key = key[order]
         wgt = wgt[order]
-        if key.size:
-            dup = key[1:] == key[:-1]
-            if np.any(dup):
-                if np.any(wgt[1:][dup] != wgt[:-1][dup]):
-                    raise ValueError("conflicting duplicate edge")
-                keep = np.concatenate([[True], ~dup])
-                key = key[keep]
-                wgt = wgt[keep]
+        if np.any(repeat):
+            if np.any(wgt[repeat] != wgt[np.flatnonzero(repeat) - 1]):
+                raise ValueError("conflicting duplicate edge")
+            key = key[~repeat]
+            wgt = wgt[~repeat]
         self.num_vertices = num_vertices
         self.edge_src = key // num_vertices
         self.edge_dst = key % num_vertices
@@ -179,10 +162,9 @@ class WeightedNetwork:
             self._degrees[nonempty] = np.add.reduceat(self._adj_w, starts)
 
     def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(i), int(j), float(w))
-            for i, j, w in zip(self.edge_src, self.edge_dst, self.edge_weight)
-        ]
+        """Edges as (i, j, weight) with i < j, sorted lexicographically."""
+        return list(zip(self.edge_src.tolist(), self.edge_dst.tolist(),
+                        self.edge_weight.tolist()))
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor indices, weights), ascending by neighbor."""
@@ -245,9 +227,9 @@ class Partition:
         idx, wgt = self.network.neighbors(v)
         assign = self.assignment
         total = 0.0
-        for u, w in zip(idx, wgt):
+        for u, w in zip(idx.tolist(), wgt.tolist()):
             if assign[u] == k:
-                total += float(w)
+                total += w
         return total
 
     def new_community(self, v: int) -> int:
@@ -293,11 +275,11 @@ class Partition:
         external = 0.0
         for v in sorted(members):
             idx, wgt = self.network.neighbors(v)
-            for u, w in zip(idx, wgt):
+            for u, w in zip(idx.tolist(), wgt.tolist()):
                 if u in members:
-                    internal += float(w)
+                    internal += w
                 else:
-                    external += float(w)
+                    external += w
         return internal, external
 
     def cache_drift(self) -> float:

@@ -22,10 +22,8 @@ class SyntheticNetwork:
 
     @property
     def ppi(self) -> PpiNetwork:
-        net = PpiNetwork(self.network.num_vertices)
-        for i, j, _ in self.network.edges():
-            net.add_edge(i, j)
-        return net
+        net = self.network
+        return PpiNetwork(net.num_vertices, net.edge_src, net.edge_dst)
 
 
 def planted_partition(block_sizes: list[int],

@@ -13,9 +13,8 @@ from .oracles import fallback_mean_direct, wppi_weights_direct
 
 def make_inputs(labels, edges, gene_values, gene_labels=None):
     proteins = ProteinIndex(labels)
-    ppi = PpiNetwork(len(proteins))
-    for a, b in edges:
-        ppi.add_edge(proteins.index_of(a), proteins.index_of(b))
+    ppi = PpiNetwork(len(proteins), [proteins.index_of(a) for a, _ in edges],
+                     [proteins.index_of(b) for _, b in edges])
     gene_labels = gene_labels or labels
     values = np.asarray(gene_values, dtype=float)
     matrix = ExpressionMatrix(
@@ -24,6 +23,10 @@ def make_inputs(labels, edges, gene_values, gene_labels=None):
         sample_names=[f"S{j}" for j in range(values.shape[1])],
     )
     return proteins, ppi, matrix
+
+
+def ppi_edges(ppi):
+    return list(zip(ppi.edge_src.tolist(), ppi.edge_dst.tolist()))
 
 
 class TestEdgeWeight:
@@ -100,7 +103,7 @@ class TestBuildWppi:
             ["A", "B", "C"], [("A", "B"), ("A", "C"), ("B", "C")], values)
         result = build_wppi(proteins, ppi, matrix)
         expected = wppi_weights_direct(
-            [(i, j) for i, j in ppi.edges()], [0, 1, 2], values, 0.5)
+            ppi_edges(ppi), [0, 1, 2], values, 0.5)
         got = [w for _, _, w in result.network.edges()]
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -115,7 +118,7 @@ class TestBuildWppi:
         values = rng.normal(size=(25, 6))
         proteins, ppi, matrix = make_inputs(labels, edges, values)
         result = build_wppi(proteins, ppi, matrix)
-        assert [(i, j) for i, j, _ in result.network.edges()] == ppi.edges()
+        assert [(i, j) for i, j, _ in result.network.edges()] == ppi_edges(ppi)
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(13)
@@ -184,7 +187,7 @@ class TestBuildWppi:
 
     def test_empty_edge_set_rejected(self):
         proteins = ProteinIndex(["A", "B"])
-        ppi = PpiNetwork(2)
+        ppi = PpiNetwork(2, [], [])
         matrix = ExpressionMatrix(gene_index={"A": 0}, values=np.zeros((1, 3)),
                                   sample_names=["a", "b", "c"])
         with pytest.raises(ValueError, match="empty network"):
@@ -198,6 +201,6 @@ class TestBuildWppi:
         normalized = quantile_normalize(matrix)
         result = build_wppi(proteins, ppi, normalized)
         rows = [normalized.gene_index[lbl] for lbl in labels]
-        expected = wppi_weights_direct(ppi.edges(), rows, normalized.values, 0.5)
+        expected = wppi_weights_direct(ppi_edges(ppi), rows, normalized.values, 0.5)
         assert [w for _, _, w in result.network.edges()] == pytest.approx(
             expected, abs=1e-12)

@@ -120,7 +120,7 @@ class TestDetectCommand:
                      toy_run / "pipeline_manifest.json"):
             manifest = json.loads(path.read_text())
             assert "max_stage2_passes" not in manifest["config"]
-            assert manifest["detection"]["stage2_hit_cap"] is False
+            assert "stage2_hit_cap" not in manifest["detection"]
         jsonschema.validate(json.loads((toy_run / "pipeline_manifest.json").read_text()), schema)
         with pytest.raises(SystemExit) as info:
             run("detect", "--wppi", toy["ppi"], "--max-stage2-passes", "4",

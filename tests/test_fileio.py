@@ -28,6 +28,20 @@ class TestLoadPpi:
             fileio.load_ppi(path)
 
 
+class TestInterning:
+    def test_ppi_and_wppi_loaders_intern_alike(self, tmp_path):
+        rows = [("Q", "B"), ("A", "Z"), ("B", "Q"), ("M", "B"), ("Z", "Q")]
+        ppi = tmp_path / "ppi.tsv"
+        ppi.write_text("".join(f"{a}\t{b}\n" for a, b in rows))
+        wppi = tmp_path / "wppi.tsv"
+        wppi.write_text("".join(f"{a}\t{b}\t0.5\n" for a, b in rows))
+        proteins, net = fileio.load_ppi(ppi)
+        wproteins, wnet = fileio.load_wppi(wppi)
+        assert proteins.labels == wproteins.labels == ["Q", "B", "A", "Z", "M"]
+        assert net.edge_src.tolist() == wnet.edge_src.tolist() == [0, 0, 1, 2]
+        assert net.edge_dst.tolist() == wnet.edge_dst.tolist() == [1, 3, 4, 3]
+
+
 class TestLoadExpression:
     def test_round_values_and_missing_imputed(self, tmp_path):
         path = tmp_path / "ged.tsv"

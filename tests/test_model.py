@@ -30,31 +30,35 @@ class TestInternProteins:
 
 
 class TestPpiNetwork:
-    def test_add_edge_idempotent(self):
-        net = PpiNetwork(3)
-        assert net.add_edge(0, 1)
-        assert not net.add_edge(0, 1)
-        assert net.edge_count == 1
-        assert net.duplicates_dropped == 1
+    def test_repeat_is_dropped_and_counted(self):
+        net = PpiNetwork(3, [0, 0, 1, 1], [1, 1, 2, 2])
+        assert net.edge_count == 2
+        assert net.duplicates_dropped == 2
 
     def test_reversed_edge_is_the_same_edge(self):
-        net = PpiNetwork(3)
-        net.add_edge(0, 1)
-        net.add_edge(1, 0)
-        assert net.edges() == [(0, 1)]
+        net = PpiNetwork(4, [3, 1, 0, 2, 0], [1, 0, 1, 0, 3])
+        assert list(zip(net.edge_src.tolist(), net.edge_dst.tolist())) == \
+            [(0, 1), (0, 2), (0, 3), (1, 3)]
+        assert net.duplicates_dropped == 1
 
     def test_self_loop_rejected_with_count(self):
-        net = PpiNetwork(3)
-        assert not net.add_edge(0, 0)
-        assert net.edge_count == 0
+        net = PpiNetwork(3, [0, 2, 0], [0, 2, 2])
+        assert (net.edge_src.tolist(), net.edge_dst.tolist()) == ([0], [2])
+        assert net.self_loops_dropped == 2
+
+    def test_out_of_range_self_loop_is_counted_not_raised(self):
+        net = PpiNetwork(3, [7, 0], [7, 1])
         assert net.self_loops_dropped == 1
+        assert net.edge_count == 1
+
+    def test_out_of_range_edge_rejected(self):
+        for src, dst in (([0, 3], [1, 1]), ([0], [-1])):
+            with pytest.raises(ValueError, match="out of range"):
+                PpiNetwork(3, src, dst)
 
     def test_degree_sum_is_twice_edges(self):
-        net = PpiNetwork(5)
-        for i, j in [(0, 1), (0, 2), (1, 2), (3, 4)]:
-            net.add_edge(i, j)
-        src, dst = net.edge_arrays()
-        degrees = np.bincount(np.concatenate([src, dst]), minlength=5)
+        net = PpiNetwork(5, [0, 0, 1, 3], [1, 2, 2, 4])
+        degrees = np.bincount(np.concatenate([net.edge_src, net.edge_dst]), minlength=5)
         assert degrees.tolist() == [2, 2, 2, 1, 1]
         assert degrees.sum() == 2 * net.edge_count
 

@@ -180,7 +180,6 @@ def _check_stage2_invariants(net, lam):
     assert sorted(sv for g in groups for sv in g) == list(range(comp.num_vertices))
     # Every pass but the last merges, and each merge removes a group.
     assert result.stage2_passes <= comp.num_vertices - len(groups) + 1
-    assert result.stage2_hit_cap is False
     group_of = {sv: gid for gid, g in enumerate(groups) for sv in g}
     for g in groups:
         if len(g) > 1:

@@ -37,7 +37,7 @@ class TestPlantedPartition:
         syn = planted_partition([4, 4], seed=9)
         ppi = syn.ppi
         assert ppi.edge_count == syn.network.edge_count
-        assert [(i, j) for i, j in ppi.edges()] == \
+        assert list(zip(ppi.edge_src.tolist(), ppi.edge_dst.tolist())) == \
             [(i, j) for i, j, _ in syn.network.edges()]
 
     def test_bad_arguments(self):
