@@ -5,6 +5,12 @@ mix them: the squared-overlap score |A∩B|^2 / (|A|·|B|) and the plain
 recall |A∩B| / |B| against the catalogue entry. Enrichment sums the
 hypergeometric upper tail directly from its largest term, which is taken
 from log-binomials; the other terms follow by the term ratio.
+
+Both checks invert their reference sets into a protein -> entries index, so
+a community is scored only against the entries it shares a protein with.
+An all-pairs scan never picks any other entry, except that a community
+sharing no protein with any complex is reported against the first catalogue
+entry at score 0; that case is kept, so ties and outputs are unchanged.
 """
 
 from __future__ import annotations
@@ -99,32 +105,45 @@ def match_complexes(communities: Mapping[int, Iterable[str]],
     """Best catalogue entry per community; matched when the score clears the threshold.
 
     A catalogue complex may be the best match of several communities. Ties on
-    the score go to the earlier catalogue entry.
+    the score go to the earlier catalogue entry. Only entries that share a
+    protein with the community are scored; a community that shares none is
+    reported against the first entry with score 0, as an all-pairs scan
+    would report it.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     matches: list[ComplexMatch] = []
-    if not catalogue.entries:
+    entries = catalogue.entries
+    if not entries:
         warnings.warn("empty catalogue; nothing to match", stacklevel=2)
         return MatchReport(threshold, [], 0, len(communities))
+    holders: dict[str, list[int]] = {}
+    for index, (_, reference) in enumerate(entries):
+        for protein in reference:
+            holders.setdefault(protein, []).append(index)
     for cid in sorted(communities):
         members = set(communities[cid])
         if not members:
             continue
-        best = None
-        for name, reference in catalogue.entries:
-            score = overlap_score(members, reference)
-            if best is None or score > best[0]:
-                best = (score, name, reference)
-        score, name, reference = best
+        shared: dict[int, int] = {}
+        for protein in members:
+            for index in holders.get(protein, ()):
+                shared[index] = shared.get(index, 0) + 1
+        best, score, overlap = 0, 0.0, 0
+        for index in sorted(shared):
+            inter = shared[index]
+            candidate = (inter * inter) / (len(members) * len(entries[index][1]))
+            if candidate > score:
+                best, score, overlap = index, candidate, inter
+        name, reference = entries[best]
         matches.append(ComplexMatch(
             community_id=cid,
             community_size=len(members),
             complex_name=name,
             complex_size=len(reference),
-            overlap=len(members & reference),
+            overlap=overlap,
             score=score,
-            recall=recall_ratio(members, reference),
+            recall=overlap / len(reference),
             matched=score >= threshold,
         ))
     matched = sum(1 for m in matches if m.matched)
@@ -192,28 +211,40 @@ def enrich(communities: Mapping[int, Iterable[str]],
            population: int) -> list[EnrichmentRecord]:
     """Best-enriched annotation term per community, sorted by p-value.
 
-    Communities without any annotated member are reported under the term
-    ``unannotated`` with p = 1.0.
+    Only terms that share a protein with the community are scored, and each
+    distinct (community size, term size, overlap) tail is computed once per
+    call. The best term is the least (p-value, term name), so ties and
+    records are those of a scan over every term. Communities without any
+    annotated member are reported under the term ``unannotated`` with
+    p = 1.0.
     """
+    terms_of: dict[str, list[str]] = {}
+    for term, group in annotations.terms.items():
+        for protein in group:
+            terms_of.setdefault(protein, []).append(term)
+    tails: dict[tuple[int, int, int], float] = {}
     records: list[EnrichmentRecord] = []
     for cid in sorted(communities):
         members = set(communities[cid])
-        if population < len(members):
+        size = len(members)
+        if population < size:
             raise ValueError("population smaller than a community")
+        shared: dict[str, int] = {}
+        for protein in members:
+            for term in terms_of.get(protein, ()):
+                shared[term] = shared.get(term, 0) + 1
         best: tuple[float, str, int, int] | None = None
-        for term in sorted(annotations.terms):
-            group = annotations.terms[term]
-            overlap = len(members & group)
-            if overlap == 0:
-                continue
-            p = hypergeom_pvalue(population, len(members), len(group), overlap)
+        for term, overlap in shared.items():
+            key = (size, len(annotations.terms[term]), overlap)
+            p = tails.get(key)
+            if p is None:
+                p = tails[key] = hypergeom_pvalue(population, *key)
             if best is None or (p, term) < (best[0], best[1]):
-                best = (p, term, len(group), overlap)
+                best = (p, term, key[1], overlap)
         if best is None:
-            records.append(EnrichmentRecord(cid, len(members), "unannotated", 0, 0, 1.0))
+            records.append(EnrichmentRecord(cid, size, "unannotated", 0, 0, 1.0))
         else:
             p, term, group_size, overlap = best
-            records.append(EnrichmentRecord(cid, len(members), term, group_size,
-                                            overlap, p))
+            records.append(EnrichmentRecord(cid, size, term, group_size, overlap, p))
     records.sort(key=lambda r: (r.p_value, r.community_id))
     return records

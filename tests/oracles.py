@@ -146,6 +146,60 @@ def recall_direct(a, b) -> float:
     return len(set(a) & set(b)) / len(set(b))
 
 
+def match_complexes_direct(communities, entries, threshold):
+    """Best catalogue entry per community by scoring every (community, entry) pair.
+
+    Returns (community_id, community_size, complex_name, complex_size,
+    overlap, score, recall, matched) rows in community-id order; a score tie
+    keeps the earlier entry and empty communities are skipped.
+    """
+    rows = []
+    for cid in sorted(communities):
+        members = set(communities[cid])
+        if not members:
+            continue
+        best = None
+        for name, reference in entries:
+            score = overlap_direct(members, reference)
+            if best is None or score > best[0]:
+                best = (score, name, reference)
+        score, name, reference = best
+        rows.append((cid, len(members), name, len(reference),
+                     len(members & set(reference)), score,
+                     recall_direct(members, reference), score >= threshold))
+    return rows
+
+
+def enrich_direct(communities, terms, population, pvalue):
+    """Least (p, term) over every overlapping term, for each community.
+
+    ``pvalue(population, community_size, group_size, overlap)`` supplies the
+    tail, so records can be compared float for float with the package's.
+    Returns (community_id, community_size, term, group_size, overlap, p) rows
+    sorted by (p, community_id); a community with no annotated member gets
+    ("unannotated", 0, 0, 1.0).
+    """
+    rows = []
+    for cid in sorted(communities):
+        members = set(communities[cid])
+        best = None
+        for term in sorted(terms):
+            group = terms[term]
+            overlap = len(members & set(group))
+            if overlap == 0:
+                continue
+            p = pvalue(population, len(members), len(group), overlap)
+            if best is None or (p, term) < (best[0], best[1]):
+                best = (p, term, len(group), overlap)
+        if best is None:
+            rows.append((cid, len(members), "unannotated", 0, 0, 1.0))
+        else:
+            p, term, group_size, overlap = best
+            rows.append((cid, len(members), term, group_size, overlap, p))
+    rows.sort(key=lambda r: (r[5], r[0]))
+    return rows
+
+
 def wppi_weights_direct(ppi_edges, gene_rows, values, fallback) -> list[float]:
     """Serial per-edge weighting: |pearson| for matched pairs, else fallback."""
     out = []

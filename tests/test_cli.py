@@ -189,6 +189,33 @@ class TestEvaluateCommand:
         doc = json.loads((toy["out"] / "ej" / "evaluation.json").read_text())
         assert doc["evaluation"]["enrichment"]["records"]
 
+    def test_annotated_universe_population(self, tmp_path):
+        from wppi.evaluator import AnnotationSet, enrich
+
+        communities = {0: {"A1", "A2", "A3", "U1"}, 1: {"A4", "A5", "U2"},
+                       2: {"A6", "U3"}, 3: {"U4", "U5"}}
+        terms = {"T:x": {"A1", "A2", "A3", "Z1"}, "T:y": {"A4", "A5", "A6"},
+                 "T:z": {"A2", "A4", "Z2"}}
+        (tmp_path / "communities.tsv").write_text("".join(
+            f"{cid}\t{','.join(sorted(members))}\tNA\tNA\n"
+            for cid, members in communities.items()))
+        (tmp_path / "annotations.tsv").write_text("".join(
+            f"{protein}\t{term}\n" for term, members in terms.items()
+            for protein in sorted(members)))
+        assert run("evaluate", "--communities", tmp_path / "communities.tsv",
+                   "--annotations", tmp_path / "annotations.tsv", "--annotated-universe",
+                   "--format", "json", "--output", tmp_path / "ev") == 0
+        doc = json.loads((tmp_path / "ev" / "evaluation.json").read_text())
+        block = doc["evaluation"]["enrichment"]
+        universe = set().union(*communities.values())
+        annotated = {protein for members in terms.values() for protein in members & universe}
+        assert block["annotated_universe"] is True
+        assert block["population"] == len(annotated) == 6
+        trimmed = AnnotationSet({term: frozenset(members & universe)
+                                 for term, members in terms.items()})
+        expected = enrich(communities, trimmed, len(annotated))
+        assert block["records"] == [vars(r) for r in expected]
+
     def test_needs_some_reference(self, toy, toy_run):
         communities = toy_run / "communities.tsv"
         assert run("evaluate", "--communities", communities,

@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import astuple
 
 import pytest
 
@@ -13,8 +15,10 @@ from wppi.evaluator import (
 )
 
 from .oracles import (
+    enrich_direct,
     hypergeom_tail_enumerated,
     hypergeom_tail_exact,
+    match_complexes_direct,
     overlap_direct,
     recall_direct,
 )
@@ -217,3 +221,75 @@ class TestEnrich:
     def test_population_smaller_than_community_rejected(self):
         with pytest.raises(ValueError, match="population smaller"):
             enrich({0: {"a", "b", "c"}}, self.annotations(), population=2)
+
+
+def _fuzz_case(seed):
+    """Communities, annotation terms and a catalogue drawn so that ties are common.
+
+    Some proteins belong to no term and no complex, so unannotated and
+    unmatched communities occur; some terms and complexes repeat an earlier
+    member set under a new name, so equal p-values and equal scores occur.
+    """
+    rng = random.Random(seed)
+    shared = [f"p{i}" for i in range(rng.randint(4, 24))]
+    lonely = [f"q{i}" for i in range(rng.randint(1, 6))]
+    pool = shared + lonely
+    ids = rng.sample(range(100), rng.randint(1, 8))
+    communities = {cid: set(rng.sample(pool, rng.randint(0, min(8, len(pool)))))
+                   for cid in ids}
+    terms = {}
+    groups = []
+    for name in rng.sample(range(1000), rng.randint(0, 12)):
+        if groups and rng.random() < 0.4:
+            group = rng.choice(groups)
+        else:
+            group = frozenset(rng.sample(shared, rng.randint(1, min(6, len(shared)))))
+            groups.append(group)
+        terms[f"T{name:03d}"] = group
+    entries = []
+    references = []
+    for name in rng.sample(range(1000), rng.randint(1, 8)):
+        if references and rng.random() < 0.4:
+            reference = rng.choice(references)
+        else:
+            reference = frozenset(rng.sample(shared, rng.randint(2, min(6, len(shared)))))
+            references.append(reference)
+        entries.append((f"C{name:03d}", reference))
+    population = len(pool) + rng.randint(0, 20)
+    threshold = rng.choice([0.1, 0.25, 0.5, 1.0])
+    return communities, terms, entries, population, threshold
+
+
+class TestIndexedScoringMatchesAllPairs:
+    SEEDS = range(300)
+
+    def test_records_equal_the_all_pairs_oracles(self):
+        seen = {"score tie": 0, "no complex": 0, "unannotated": 0, "key tie": 0}
+        for seed in self.SEEDS:
+            communities, terms, entries, population, threshold = _fuzz_case(seed)
+
+            report = match_complexes(communities, ComplexCatalogue(entries), threshold)
+            expected = match_complexes_direct(communities, entries, threshold)
+            assert [astuple(m) for m in report.matches] == expected, seed
+            assert report.matched_count == sum(1 for row in expected if row[-1])
+            assert report.total == len(expected)
+
+            records = enrich(communities, AnnotationSet(terms), population)
+            expected = enrich_direct(communities, terms, population, hypergeom_pvalue)
+            assert [astuple(r) for r in records] == expected, seed
+
+            for members in communities.values():
+                if not members:
+                    continue
+                scores = [overlap_direct(members, ref) for _, ref in entries]
+                top = max(scores)
+                seen["no complex"] += top == 0.0
+                seen["score tie"] += top > 0.0 and scores.count(top) > 1
+                keys = [(len(members), len(group), len(members & group))
+                        for group in terms.values() if members & group]
+                seen["unannotated"] += not keys
+                if keys:
+                    best = min(hypergeom_pvalue(population, *key) for key in keys)
+                    tied = [key for key in keys if hypergeom_pvalue(population, *key) == best]
+                    seen["key tie"] += len(set(tied)) < len(tied)
+        assert all(seen.values()), seen
