@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expression import ExpressionMatrix, GeneMatch, match_genes, standardize_rows
+from .expression import (ExpressionMatrix, GeneMatch, match_genes, row_correlations,
+                         standardize_rows)
 from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
 GLOBAL_DEFAULT_WEIGHT = 0.5
 _FOLD_BLOCK = 1024
+_KERNEL_BLOCK = 1024  # matched edges per task: the gathered rows stay in cache
 
 
 @dataclass
@@ -31,16 +33,6 @@ class BuildResult:
     matched_edge_count: int
     unmatched_edge_count: int
     zero_variance_edge_count: int
-
-
-def _correlation_kernel(z: np.ndarray, row_i: np.ndarray, row_j: np.ndarray) -> np.ndarray:
-    """|correlation| for edge batches, deduplicated per unordered gene-row pair."""
-    m = z.shape[1]
-    lo = np.minimum(row_i, row_j)
-    hi = np.maximum(row_i, row_j)
-    keys, inverse = np.unique(lo * np.int64(z.shape[0]) + hi, return_inverse=True)
-    dots = np.einsum("ij,ij->i", z[keys // z.shape[0]], z[keys % z.shape[0]]) / m
-    return np.abs(dots)[inverse]
 
 
 def _fold_sum(values: np.ndarray) -> float:
@@ -65,34 +57,29 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
     The edge set of the result equals the edge set of the input exactly.
     ``default_weight`` overrides the computed fallback; ``zero_as_unmatched``
     additionally applies the fallback to matched edges whose correlation is
-    exactly zero. ``threads`` splits the edges into that many contiguous
-    chunks; the kernel is row-independent, so the result does not depend on it.
+    exactly zero. ``threads`` workers correlate the matched edges in blocks;
+    each edge's correlation depends only on its own two rows, so the result
+    does not depend on the thread count.
     """
     if ppi.edge_count == 0:
         raise ValueError("empty network")
     matching = match_genes(proteins, matrix, mapping)
 
     src, dst = ppi.edge_src, ppi.edge_dst
-    row_arr = np.array([-1 if r is None else r for r in matching.rows], dtype=np.int64)
-    both_matched = (row_arr[src] >= 0) & (row_arr[dst] >= 0)
-
+    row_i, row_j = matching.rows[src], matching.rows[dst]
+    matched_idx = np.flatnonzero((row_i >= 0) & (row_j >= 0))
     z, zero_var = standardize_rows(matrix.values)
 
-    def kernel(idx: np.ndarray) -> np.ndarray:
-        out = np.full(idx.size, np.nan)
-        sel = both_matched[idx]
-        if np.any(sel):
-            e = idx[sel]
-            out[sel] = _correlation_kernel(z, row_arr[src[e]], row_arr[dst[e]])
-        return out
+    abs_corr = np.empty(matched_idx.size)
+
+    def kernel(start: int) -> None:
+        idx = matched_idx[start:start + _KERNEL_BLOCK]
+        abs_corr[start:start + idx.size] = np.abs(row_correlations(z, row_i[idx], row_j[idx]))
 
     with ThreadPoolExecutor(max_workers=threads) as executor:
-        chunks = executor.map(kernel, np.array_split(np.arange(src.size), threads))
-        abs_corr = np.concatenate(list(chunks))
+        list(executor.map(kernel, range(0, matched_idx.size, _KERNEL_BLOCK)))
 
-    matched_idx = np.flatnonzero(both_matched)
-    zero_variance_edges = int(np.sum(zero_var[row_arr[src[matched_idx]]]
-                                     | zero_var[row_arr[dst[matched_idx]]]))
+    zero_variance_edges = int(np.sum(zero_var[row_i[matched_idx]] | zero_var[row_j[matched_idx]]))
 
     # Fallback: mean |correlation| over matched edges in canonical order.
     if default_weight is not None:
@@ -100,17 +87,16 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
             raise ValueError("default weight must lie in [0, 1]")
         fallback = float(default_weight)
     else:
-        pool = abs_corr[matched_idx]
-        if zero_as_unmatched:
-            pool = pool[pool != 0.0]
+        pool = abs_corr[abs_corr != 0.0] if zero_as_unmatched else abs_corr
         if pool.size:
             fallback = min(1.0, _fold_sum(pool) / pool.size)
         else:
             fallback = GLOBAL_DEFAULT_WEIGHT
 
-    weights = np.where(np.isnan(abs_corr), fallback, np.minimum(abs_corr, 1.0))
+    weights = np.full(src.size, fallback)
+    weights[matched_idx] = np.minimum(abs_corr, 1.0)
     if zero_as_unmatched:
-        weights = np.where(both_matched & (abs_corr == 0.0), fallback, weights)
+        weights[matched_idx[abs_corr == 0.0]] = fallback
 
     network = WeightedNetwork.from_arrays(ppi.num_vertices, src, dst, weights)
     return BuildResult(

@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=evaluator.DEFAULT_MATCH_THRESHOLD,
                    help="overlap-score match threshold")
     p.add_argument("--annotated-universe", action="store_true",
-                   help="restrict the enrichment population to annotated proteins")
+                   help="enrich over annotated proteins only (population and communities)")
     _add_common(p, threads=True, report_format=True)
 
     p = sub.add_parser("pipeline", help="build, detect, and evaluate in one run")
@@ -273,10 +273,12 @@ def _evaluation_sections(communities, args):
         if not trimmed:
             raise UsageError("no annotation covers any protein in the communities")
         annotations = evaluator.AnnotationSet(trimmed)
+        population = len(universe)
         if args.annotated_universe:
-            population = len(annotations.annotated_proteins())
-        else:
-            population = len(universe)
+            # one universe: the population and each community count annotated proteins only
+            covered = annotations.annotated_proteins()
+            member_sets = {cid: members & covered for cid, members in member_sets.items()}
+            population = len(covered)
         records = evaluator.enrich(member_sets, annotations, population)
         sections["enrichment"] = {
             "population": population,

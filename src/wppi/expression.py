@@ -1,9 +1,10 @@
 """Gene-expression matrices: normalization, correlation, and protein matching.
 
-The correlation convention is the population one: vectors are centred and
-scaled by the 1/M standard deviation, which keeps results exactly inside
-[-1, 1]. Constant vectors have no co-expression evidence and correlate 0,
-with a flag so callers can count them.
+The correlation convention is the population one: rows are centred and
+scaled by their 1/M deviation, so each has squared norm M, and their dot
+product over M lies in [-1, 1] by Cauchy-Schwarz (rounding can add an ulp,
+which is why edge weights are clamped to 1). Constant vectors have no
+co-expression evidence and correlate 0, with a flag so callers can count them.
 """
 
 from __future__ import annotations
@@ -78,6 +79,33 @@ def quantile_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     )
 
 
+def standardize_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and scale each row by its population deviation.
+
+    Each row is first scaled by the power of two that puts its largest
+    magnitude in [0.5, 1). That scaling is exact, so it changes no bit of a
+    row whose squares stay in the normal range, and it keeps rows near
+    1e-160 or 1e200 from underflowing or overflowing. Constant rows (max
+    equal to min) become all-zero and are reported in the returned mask.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    hi, lo = v.max(axis=1), v.min(axis=1)
+    flat = hi == lo
+    _, exponents = np.frexp(np.maximum(hi, -lo))
+    z = np.ldexp(v, -exponents[:, None])
+    z -= z.mean(axis=1, keepdims=True)
+    # np.std's own steps on the already centred rows, so the bits match np.std
+    stds = np.sqrt((z * z).mean(axis=1, keepdims=True))
+    z /= np.where(flat[:, None], 1.0, stds)
+    z[flat] = 0.0
+    return z, flat
+
+
+def row_correlations(z: np.ndarray, rows_i: np.ndarray, rows_j: np.ndarray) -> np.ndarray:
+    """Correlation of standardized rows ``rows_i[k]`` and ``rows_j[k]`` for each k."""
+    return np.einsum("ij,ij->i", z[rows_i], z[rows_j]) / z.shape[1]
+
+
 def pearson(x, y) -> float:
     """Population correlation of two expression vectors (0.0 for constant input)."""
     a = np.asarray(x, dtype=np.float64)
@@ -86,38 +114,23 @@ def pearson(x, y) -> float:
         raise ValueError("vectors must be 1-D and of equal length")
     if a.size < 2:
         raise ValueError("insufficient samples")
-    sa = float(a.std())
-    sb = float(b.std())
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    za = (a - a.mean()) / sa
-    zb = (b - b.mean()) / sb
-    return float((za * zb).mean())
-
-
-def standardize_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and scale each row by its population deviation.
-
-    Zero-variance rows become all-zero and are reported in the returned
-    boolean mask, so a row dot product divided by M reproduces ``pearson``.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    means = v.mean(axis=1, keepdims=True)
-    stds = v.std(axis=1, keepdims=True)
-    flat = stds[:, 0] == 0.0
-    safe = np.where(stds == 0.0, 1.0, stds)
-    z = (v - means) / safe
-    z[flat] = 0.0
-    return z, flat
+    z, _ = standardize_rows(np.stack([a, b]))
+    return float(row_correlations(z, [0], [1])[0])
 
 
 @dataclass
 class GeneMatch:
-    """Per-protein gene-row lookup with the resulting matching ratio."""
+    """Per-protein expression row (-1 when unmatched) and the matching ratio."""
 
-    rows: list[int | None]
-    matched: int
-    total: int
+    rows: np.ndarray
+
+    @property
+    def matched(self) -> int:
+        return int(np.count_nonzero(self.rows >= 0))
+
+    @property
+    def total(self) -> int:
+        return int(self.rows.size)
 
     @property
     def ratio_percent(self) -> float:
@@ -131,12 +144,6 @@ def match_genes(proteins: ProteinIndex, matrix: ExpressionMatrix,
     Without a mapping the protein label itself is used as the gene id.
     Proteins whose gene is absent from the matrix count as unmatched.
     """
-    rows: list[int | None] = []
-    matched = 0
-    for label in proteins:
-        gene = mapping.get(label, label) if mapping else label
-        row = matrix.gene_index.get(gene)
-        rows.append(row)
-        if row is not None:
-            matched += 1
-    return GeneMatch(rows=rows, matched=matched, total=len(proteins))
+    genes = (mapping.get(label, label) for label in proteins) if mapping else proteins
+    return GeneMatch(np.array([matrix.gene_index.get(gene, -1) for gene in genes],
+                              dtype=np.int64))

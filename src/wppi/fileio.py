@@ -94,7 +94,8 @@ def load_expression(path) -> ExpressionMatrix:
     Rows with more than half of their samples missing are dropped and the
     remaining gaps are filled with the row mean.
     """
-    rows: list[tuple[str, list[float]]] = []
+    rows: list[list[float]] = []
+    gene_index: dict[str, int] = {}
     sample_names: list[str] = []
     dropped: list[str] = []
     expected = None
@@ -128,17 +129,16 @@ def load_expression(path) -> ExpressionMatrix:
         if missing > MISSING_ROW_LIMIT * expected:
             dropped.append(gene)
             continue
-        rows.append((gene, values))
+        if gene in gene_index:
+            _fail(path, line_no, f"duplicate gene label {gene!r}")
+        gene_index[gene] = len(rows)
+        rows.append(values)
     if not header_seen:
         raise InputError(f"{path}: empty expression file")
     if not rows:
         raise InputError(f"{path}: no usable expression rows")
-    gene_index: dict[str, int] = {}
     matrix = np.empty((len(rows), expected), dtype=np.float64)
-    for r, (gene, values) in enumerate(rows):
-        if gene in gene_index:
-            raise InputError(f"{path}: duplicate gene label {gene!r}")
-        gene_index[gene] = r
+    for r, values in enumerate(rows):
         row = np.array(values)
         mask = np.isnan(row)
         if mask.any():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wppi.builder import build_wppi
-from wppi.expression import ExpressionMatrix, quantile_normalize
+from wppi.expression import ExpressionMatrix, pearson, quantile_normalize
 from wppi.model import PpiNetwork, ProteinIndex
 
 from .oracles import fallback_mean_direct, wppi_weights_direct
@@ -106,6 +106,24 @@ class TestBuildWppi:
             ppi_edges(ppi), [0, 1, 2], values, 0.5)
         got = [w for _, _, w in result.network.edges()]
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_matched_weights_are_clamped_pearson_bit_for_bit(self, threads):
+        # more than one 1024-edge kernel block, constant and extreme-magnitude rows
+        rng = np.random.default_rng(41)
+        labels = [f"P{i}" for i in range(110)]
+        edges = [(labels[i], labels[j]) for i in range(110) for j in range(i + 1, 110)
+                 if rng.random() < 0.25]
+        values = rng.normal(size=(100, 9))  # P100..P109 unmatched
+        values[3] = 2.5
+        values[7] *= 1e-160
+        values[8] *= 1e200
+        proteins, ppi, matrix = make_inputs(labels, edges, values, gene_labels=labels[:100])
+        result = build_wppi(proteins, ppi, matrix, threads=threads)
+        matched = [(i, j, w) for i, j, w in result.network.edges() if i < 100 and j < 100]
+        assert len(matched) == result.matched_edge_count > 1024
+        for i, j, w in matched:
+            assert w == min(abs(pearson(values[i], values[j])), 1.0)
 
     def test_edge_set_preserved_exactly(self):
         rng = np.random.default_rng(8)

@@ -213,8 +213,24 @@ class TestEvaluateCommand:
         assert block["population"] == len(annotated) == 6
         trimmed = AnnotationSet({term: frozenset(members & universe)
                                  for term, members in terms.items()})
-        expected = enrich(communities, trimmed, len(annotated))
+        expected = enrich({cid: members & annotated for cid, members in communities.items()},
+                          trimmed, len(annotated))
         assert block["records"] == [vars(r) for r in expected]
+        assert [r["community_size"] for r in sorted(block["records"],
+                                                   key=lambda r: r["community_id"])] == [3, 2, 1, 0]
+
+    def test_annotated_universe_counts_annotated_members(self, tmp_path):
+        # a community larger than the annotated population is still valid input
+        (tmp_path / "communities.tsv").write_text("0\tA1,U1,U2\tNA\tNA\n1\tA2,A3\tNA\tNA\n")
+        (tmp_path / "annotations.tsv").write_text("A1\tT:x\nA2\tT:x\n")
+        assert run("evaluate", "--communities", tmp_path / "communities.tsv",
+                   "--annotations", tmp_path / "annotations.tsv", "--annotated-universe",
+                   "--format", "json", "--output", tmp_path / "ev") == 0
+        doc = json.loads((tmp_path / "ev" / "evaluation.json").read_text())
+        block = doc["evaluation"]["enrichment"]
+        assert block["population"] == 2
+        assert {(r["community_id"], r["community_size"], r["overlap"])
+                for r in block["records"]} == {(0, 1, 1), (1, 1, 1)}
 
     def test_needs_some_reference(self, toy, toy_run):
         communities = toy_run / "communities.tsv"

@@ -7,6 +7,7 @@ from wppi.expression import (
     pearson,
     quantile_normalize,
     quantile_normalize_values,
+    row_correlations,
     standardize_rows,
 )
 from wppi.model import ProteinIndex
@@ -102,9 +103,11 @@ class TestPearson:
         # constant input correlates 0; the build counts it through the row mask
         assert pearson([1.0, 1.0, 1.0], [1, 2, 3]) == 0.0
         assert pearson([1, 2, 3], [1.0, 1.0, 1.0]) == 0.0
-        z, flat = standardize_rows(np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]]))
-        assert flat.tolist() == [True, False]
-        assert np.all(z[0] == 0.0)
+        # the mean of three 0.1s rounds above 0.1, so their deviation is not 0
+        assert pearson([0.1, 0.1, 0.1], [1.0, 2.0, 4.0]) == 0.0
+        z, flat = standardize_rows(np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.1, 0.1, 0.1]]))
+        assert flat.tolist() == [True, False, True]
+        assert np.all(z[[0, 2]] == 0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
@@ -121,11 +124,22 @@ class TestPearson:
         values = rng.normal(size=(6, 8))
         z, flat = standardize_rows(values)
         assert not flat.any()
-        m = values.shape[1]
         for i in range(6):
             for j in range(6):
-                dot = float(np.dot(z[i], z[j])) / m
-                assert dot == pytest.approx(pearson(values[i], values[j]), abs=1e-12)
+                assert row_correlations(z, [i], [j])[0] == pearson(values[i], values[j])
+
+    @pytest.mark.parametrize("exponent", [-531, 664])  # about 1.5e-160 and 1.9e200
+    def test_extreme_magnitudes_scale_exactly(self, exponent):
+        # squaring these rows underflows or overflows unless they are rescaled first
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(4, 7))
+        scaled = values * 2.0 ** exponent
+        assert standardize_rows(scaled)[0].tobytes() == standardize_rows(values)[0].tobytes()
+        assert pearson(scaled[0], values[1]) == pearson(values[0], values[1])
+
+    def test_extreme_magnitudes_match_unit_rows(self):
+        assert pearson([1e200, -1e200, 3e200], [1, 2, 3]) == pytest.approx(0.5, abs=1e-15)
+        assert pearson([1e-160, -1e-160, 3e-160], [1, 2, 3]) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestMatchGenes:
@@ -133,19 +147,19 @@ class TestMatchGenes:
         proteins = ProteinIndex(["A", "B"])
         matched = match_genes(proteins, matrix_of([[1, 2], [3, 4]], ["A", "B"]))
         assert matched.ratio_percent == 100.0
-        assert matched.rows == [0, 1]
+        assert matched.rows.tolist() == [0, 1]
 
     def test_no_match(self):
         proteins = ProteinIndex(["X", "Y"])
         matched = match_genes(proteins, matrix_of([[1, 2]], ["A"]))
         assert matched.ratio_percent == 0.0
-        assert matched.rows == [None, None]
+        assert matched.rows.tolist() == [-1, -1]
 
     def test_mapping_table_redirects(self):
         proteins = ProteinIndex(["P1", "P2"])
         matrix = matrix_of([[1, 2], [3, 4]], ["gA", "gB"])
         matched = match_genes(proteins, matrix, {"P1": "gB", "P2": "gMissing"})
-        assert matched.rows == [1, None]
+        assert matched.rows.tolist() == [1, -1]
         assert matched.matched == 1
 
     def test_ratio_formats_like_reports(self):

@@ -71,8 +71,8 @@ class TestLoadExpression:
 
     def test_duplicate_gene_rejected(self, tmp_path):
         path = tmp_path / "ged.tsv"
-        path.write_text("gene_id\tS1\tS2\nG1\t1\t2\nG1\t3\t4\n")
-        with pytest.raises(InputError, match="duplicate gene"):
+        path.write_text("gene_id\tS1\tS2\nG1\t1\t2\n# note\nG1\t3\t4\n")
+        with pytest.raises(InputError, match=r"ged\.tsv:4: duplicate gene label 'G1'"):
             fileio.load_expression(path)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wppi.detector import (
@@ -36,6 +36,7 @@ def vector_pairs(draw):
 
 class TestPearsonProperties:
     @given(vector_pairs())
+    @example(pair=([0.0, -1.071e-160], [0.0, 1.0]))  # squares underflow unless rescaled
     def test_bounded(self, pair):
         a, b = pair
         assert abs(pearson(a, b)) <= 1.0 + 1e-12
@@ -43,6 +44,7 @@ class TestPearsonProperties:
     @given(vector_pairs(),
            st.floats(min_value=0.01, max_value=100, allow_nan=False),
            st.floats(min_value=-50, max_value=50, allow_nan=False))
+    @example(pair=([0.0, 0.0, 1.486593990761277e-44], [0.0, 0.0, 1.0]), alpha=1.0, beta=0.1)
     def test_affine_invariant_positive_scale(self, pair, alpha, beta):
         a, b = pair
         base = pearson(a, b)
@@ -52,6 +54,7 @@ class TestPearsonProperties:
         assert shifted == pytest.approx(base, abs=1e-10)
 
     @given(vector_pairs(), st.floats(min_value=0.01, max_value=100, allow_nan=False))
+    @example(pair=([0.0, 7.14e-161], [0.0, 1.0]), alpha=1.5)
     def test_negative_scale_flips_sign(self, pair, alpha):
         a, b = pair
         base = pearson(a, b)
