@@ -172,8 +172,21 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     candidate is scored in O(1) from two per-vertex caches: ``links[v]`` maps
     a community to v's weight into it, and ``leave[v]`` is v's leave term for
     its own community. Both are recomputed from scratch, never patched with
-    ``+=``/``-=``, so every score equals ``move_gain`` bit for bit: ``links``
-    sums neighbours in ascending order as ``Partition.weight_to`` does.
+    ``+=``/``-=``, so every score equals ``move_gain`` bit for bit: a move
+    re-sums, for each neighbour of the moved vertex, its weights into the two
+    communities involved in ascending-neighbour order as
+    ``Partition.weight_to`` does, and updates the two communities' sums from
+    the moved vertex's ``links`` with ``Partition.move``'s operations.
+
+    Each community keeps a frontier, its non-members mapped to their number
+    of member neighbours, patched around each move; the frontier is the
+    candidate set. A community is visited only while dirty: a visit that
+    finds no move cleans it, and a move dirties the target, the source and
+    every community listed in ``links[u]`` for a member u of either. Those
+    are the communities whose frontier holds a vertex whose leave term was
+    just recomputed; the sums, the membership and the frontier's leave terms
+    of every other community are unchanged, so its visit would find no move
+    again. ``evaluations`` counts the candidates of the visits made.
     """
     partition = seeds.copy()
     adj, adj_w = network.adjacency_lists()
@@ -182,28 +195,35 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     communities = partition.communities
     internal = partition.internal_sum
     external = partition.external_sum
-
-    def refresh_links(v: int) -> None:
-        row: dict[int, float] = {}
-        get = row.get
-        for u, w in zip(adj[v], adj_w[v]):
-            c = assign[u]
-            row[c] = get(c, 0.0) + w
-        links[v] = row
+    unassigned = Partition.UNASSIGNED
 
     def refresh_leave(v: int) -> None:
         src = assign[v]
         leave[v] = _leave_term(internal[src], external[src], len(communities[src]),
                                links[v].get(src, 0.0), degree[v])
 
-    links: list[dict[int, float]] = [{} for _ in range(network.num_vertices)]
+    links: list[dict[int, float]] = []
+    for v in range(network.num_vertices):
+        weights: dict[int, float] = {}
+        for u, w in zip(adj[v], adj_w[v]):
+            c = assign[u]
+            weights[c] = weights.get(c, 0.0) + w
+        links.append(weights)
     # Unassigned vertices leave nothing; adding 0.0 to a join term cannot
     # change how it compares.
     leave = [0.0] * network.num_vertices
     for v in range(network.num_vertices):
-        refresh_links(v)
-        if assign[v] != Partition.UNASSIGNED:
+        if assign[v] != unassigned:
             refresh_leave(v)
+    frontier: dict[int, dict[int, int]] = {}
+    for k, members in communities.items():
+        counts: dict[int, int] = {}
+        for m in members:
+            for u in adj[m]:
+                if assign[u] != k:
+                    counts[u] = counts.get(u, 0) + 1
+        frontier[k] = counts
+    dirty = set(communities)
 
     sweeps = evaluations = moves = steals = 0
     hit_cap = False
@@ -216,14 +236,10 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
         sweeps += 1
         changed = False
         for k in partition.community_ids():
-            if k not in communities:
-                continue  # emptied by a steal earlier in this sweep
-            members = communities[k]
-            seen: set[int] = set()
-            for m in members:
-                seen.update(adj[m])
-            seen -= members
-            candidates = sorted(seen)
+            if k not in dirty:
+                continue  # clean, or emptied by a steal earlier in this sweep
+            dirty.discard(k)
+            candidates = frontier[k]
             evaluations += len(candidates)
             internal_k = internal[k]
             external_k = external[k]
@@ -235,30 +251,82 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             for v in candidates:
                 gain = _joined_q(internal_k, external_k, links[v][k], degree[v]) \
                     - before + leave[v]
-                if gain > best_gain:
+                if gain >= best_gain and (gain > best_gain
+                                          or (best_v is not None and v < best_v)):
                     best_v, best_gain = v, gain
             if best_v is None:
                 continue
-            src = assign[best_v]
-            partition.move(best_v, k)
             moves += 1
             changed = True
-            # Weights into src and k changed for best_v's neighbours; the sums
-            # of src and k changed for their members, whose leave terms are the
-            # only ones that read them.
-            for u in adj[best_v]:
-                refresh_links(u)
+            v = best_v
+            src = assign[v]
+            deg = degree[v]
+            nbrs = adj[v]
+            if src != unassigned:
+                steals += 1
+                w_src = links[v].get(src, 0.0)
+                communities[src].discard(v)
+                internal[src] -= 2.0 * w_src
+                external[src] += 2.0 * w_src - deg
+                if communities[src]:
+                    left = frontier[src]
+                    count = 0
+                    for u in nbrs:
+                        if assign[u] == src:
+                            count += 1
+                        elif left[u] == 1:
+                            del left[u]
+                        else:
+                            left[u] -= 1
+                    if count:
+                        left[v] = count
+                else:
+                    del communities[src], internal[src], external[src], frontier[src]
+                    dirty.discard(src)
+            w_dst = links[v][k]
+            assign[v] = k
+            communities[k].add(v)
+            internal[k] += 2.0 * w_dst
+            external[k] += deg - 2.0 * w_dst
+            joined = frontier[k]
+            del joined[v]
+            for u in nbrs:
+                if assign[u] != k:
+                    joined[u] = joined.get(u, 0) + 1
+            # Weights into src and k changed for v's neighbours: both entries
+            # are summed again from scratch (src may now be absent). The sums
+            # of src and k changed for their members, whose leave terms are
+            # the only ones that read them.
+            for u in nbrs:
+                to_k = to_src = 0.0
+                at_src = False
+                for x, w in zip(adj[u], adj_w[u]):
+                    c = assign[x]
+                    if c == k:
+                        to_k += w
+                    elif c == src:
+                        to_src += w
+                        at_src = True
+                weights = links[u]
+                weights[k] = to_k
+                if at_src:
+                    weights[src] = to_src
+                else:
+                    weights.pop(src, None)
+            dirty.add(k)
             for u in communities[k]:
                 refresh_leave(u)
-            if src != Partition.UNASSIGNED:
-                steals += 1
-                for u in communities.get(src, ()):
+                dirty.update(links[u])
+            if src in communities:
+                dirty.add(src)
+                for u in communities[src]:
                     refresh_leave(u)
+                    dirty.update(links[u])
         if not changed:
             break
     seeded = tuple(partition.community_ids())
     promoted = tuple(v for v in range(network.num_vertices)
-                     if assign[v] == Partition.UNASSIGNED)
+                     if assign[v] == unassigned)
     for v in promoted:
         partition.new_community(v)
     return Stage1Result(partition=partition, seeded_ids=seeded,
@@ -408,6 +476,12 @@ def stage2_refine(compressed: CompressedNetwork,
     merged groups share a super-edge, so every multi-member group stays
     connected and has internal edges. A union whose mean-neighbor-weight sum
     is 0 has internal weight 0 too and is rejected.
+
+    The super-edges between two groups are kept as one ``[count, weight]``
+    cell that both groups' adjacency rows share, so a union test reads the
+    pair's cross edges in O(1). A merge folds the absorbed group's row into
+    the survivor's: a cell the survivor lacks is re-keyed, and one it has
+    adds the absorbed cell, which also updates the third group's row.
     """
     config = config or HubConfig()
     lam = config.cohesion_threshold
@@ -416,6 +490,9 @@ def stage2_refine(compressed: CompressedNetwork,
     assign = list(range(k))
     groups = {sv: _Group([sv], 0, 0.0, float(compressed.mean_neighbor_weight[sv]))
               for sv in range(k)}
+    adjacency: list[dict[int, list]] = [{} for _ in range(k)]
+    for a, b, w in compressed.edges:
+        adjacency[a][b] = adjacency[b][a] = [1, w]
     order = sorted(range(k), key=lambda sv: (-float(compressed.degrees[sv]), sv))
 
     passes = 0
@@ -425,22 +502,16 @@ def stage2_refine(compressed: CompressedNetwork,
         changed = False
         for sv in order:
             home = assign[sv]
+            row = adjacency[home]
             for u in sorted(neighbors[sv]):
                 other = assign[u]
                 if other == home:
                     continue
                 a, b = groups[home], groups[other]
-                small, target = (a, other) if len(a.members) <= len(b.members) else (b, home)
                 mnw = a.mnw_sum + b.mnw_sum
                 if mnw == 0.0:
                     continue  # all weights are 0, so the union's cohesion is 0/0
-                links = 0
-                weight = 0.0
-                for m in small.members:
-                    for v, w in neighbors[m].items():
-                        if assign[v] == target:
-                            links += 1
-                            weight += w
+                links, weight = row[other]
                 n = len(a.members) + len(b.members)
                 e = a.edge_count + b.edge_count + links
                 iw = a.internal_weight + b.internal_weight + weight
@@ -451,6 +522,19 @@ def stage2_refine(compressed: CompressedNetwork,
                 a.members.extend(b.members)
                 a.edge_count, a.internal_weight, a.mnw_sum = e, iw, mnw
                 del groups[other]
+                del row[other]
+                for c, cell in adjacency[other].items():
+                    if c == home:
+                        continue
+                    third = adjacency[c]
+                    del third[other]
+                    shared = row.get(c)
+                    if shared is None:
+                        row[c] = third[home] = cell
+                    else:
+                        shared[0] += cell[0]
+                        shared[1] += cell[1]
+                adjacency[other] = {}
                 changed = True
     return Stage2Result(groups={gid: set(g.members) for gid, g in groups.items()},
                         passes=passes)

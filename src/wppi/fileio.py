@@ -98,6 +98,7 @@ def load_expression(path) -> ExpressionMatrix:
     gene_index: dict[str, int] = {}
     sample_names: list[str] = []
     dropped: list[str] = []
+    seen: set[str] = set()
     expected = None
     header_seen = False
     for line_no, line in _data_lines(path):
@@ -115,6 +116,9 @@ def load_expression(path) -> ExpressionMatrix:
         gene = cols[0]
         if not gene:
             _fail(path, line_no, "missing gene label")
+        if gene in seen:
+            _fail(path, line_no, f"duplicate gene label {gene!r}")
+        seen.add(gene)
         values: list[float] = []
         missing = 0
         for c, cell in enumerate(cols[1:], start=1):
@@ -129,8 +133,6 @@ def load_expression(path) -> ExpressionMatrix:
         if missing > MISSING_ROW_LIMIT * expected:
             dropped.append(gene)
             continue
-        if gene in gene_index:
-            _fail(path, line_no, f"duplicate gene label {gene!r}")
         gene_index[gene] = len(rows)
         rows.append(values)
     if not header_seen:

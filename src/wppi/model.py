@@ -51,13 +51,17 @@ def _canonical(num_vertices: int, src: np.ndarray,
 
     Returns the sorted keys, the sorting permutation and a mask of the sorted
     positions whose key repeats the one before (the first occurrence is
-    kept unmasked). Raises ``ValueError`` on a vertex outside [0, n).
+    kept unmasked). Keys already strictly ascending, as a canonical edge set
+    passed on unchanged has them, are not sorted again. Raises
+    ``ValueError`` on a vertex outside [0, n).
     """
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     if lo.size and (int(lo.min()) < 0 or int(hi.max()) >= num_vertices):
         raise ValueError("vertex out of range")
     key = lo * np.int64(num_vertices) + hi
+    if bool(np.all(key[1:] > key[:-1])):
+        return key, np.arange(key.size), np.zeros(key.size, dtype=bool)
     order = np.argsort(key, kind="stable")
     key = key[order]
     repeat = np.zeros(key.size, dtype=bool)
@@ -145,10 +149,13 @@ class WeightedNetwork:
         self.edge_count = int(key.size)
 
         # CSR adjacency over both directions, neighbors ascending per vertex.
-        adj_src = np.concatenate([self.edge_src, self.edge_dst])
-        adj_dst = np.concatenate([self.edge_dst, self.edge_src])
+        # Listing the reversed edges first, a stable sort by source alone
+        # suffices: a vertex's lower neighbours, ascending, come from the
+        # reversed half, and its higher ones, ascending, follow.
+        adj_src = np.concatenate([self.edge_dst, self.edge_src])
+        adj_dst = np.concatenate([self.edge_src, self.edge_dst])
         adj_w = np.concatenate([self.edge_weight, self.edge_weight])
-        order = np.lexsort((adj_dst, adj_src))
+        order = np.argsort(adj_src, kind="stable")
         self._adj_src = adj_src[order]
         self._adj_dst = adj_dst[order]
         self._adj_w = adj_w[order]

@@ -322,3 +322,53 @@ def stage1_reference(seeds, sweep_cap=10_000):
     for v in promoted:
         partition.new_community(v)
     return partition, seeded, promoted, sweeps, evaluations, moves, steals
+
+
+def stage2_reference(compressed, lam):
+    """Stage-2 merging that finds a union's cross edges by scanning members.
+
+    Each union test walks every adjacency entry of the smaller group's
+    members. Returns (groups as {group id: set of super-vertices}, passes).
+    """
+    k = compressed.num_vertices
+    neighbors = compressed.neighbors
+    assign = list(range(k))
+    # group id -> [members, internal edge count, internal weight, mnw sum]
+    groups = {sv: [[sv], 0, 0.0, float(compressed.mean_neighbor_weight[sv])]
+              for sv in range(k)}
+    order = sorted(range(k), key=lambda sv: (-float(compressed.degrees[sv]), sv))
+    passes = 0
+    changed = True
+    while changed:
+        passes += 1
+        changed = False
+        for sv in order:
+            home = assign[sv]
+            for u in sorted(neighbors[sv]):
+                other = assign[u]
+                if other == home:
+                    continue
+                a, b = groups[home], groups[other]
+                small, target = (a, other) if len(a[0]) <= len(b[0]) else (b, home)
+                mnw = a[3] + b[3]
+                if mnw == 0.0:
+                    continue
+                links = 0
+                weight = 0.0
+                for m in small[0]:
+                    for v, w in neighbors[m].items():
+                        if assign[v] == target:
+                            links += 1
+                            weight += w
+                n = len(a[0]) + len(b[0])
+                e = a[1] + b[1] + links
+                iw = a[2] + b[2] + weight
+                if 2.0 * iw / mnw * (2.0 * e / (n * (n - 1))) < lam:
+                    continue
+                for m in b[0]:
+                    assign[m] = home
+                a[0].extend(b[0])
+                a[1], a[2], a[3] = e, iw, mnw
+                del groups[other]
+                changed = True
+    return {gid: set(g[0]) for gid, g in groups.items()}, passes

@@ -20,12 +20,14 @@ from wppi.model import Partition, WeightedNetwork
 from wppi.synthetic import planted_partition
 
 from .conftest import random_network
+from .scale_fixture import scale_network
 from .oracles import (
     cohesion_direct,
     community_q_direct,
     compress_direct,
     interaction_intensity_direct,
     stage1_reference,
+    stage2_reference,
     weighted_degree_direct,
 )
 
@@ -188,10 +190,16 @@ class TestStage1:
 
 # Same seeds and sizes as the ``fuzz_graphs`` fixture of the acceptance tests.
 FUZZ_SIZES = [30, 45, 60, 80, 100] * 18 + [150, 180, 200, 220, 240, 260, 280, 300, 300, 300]
+LAMBDAS = (1.0, 1.5, 2.0, 3.0)
 
 
 class TestStage1MatchesReference:
-    """The cached scorer reproduces the from-scratch stage 1 exactly."""
+    """The cached scorer reproduces the from-scratch stage 1 exactly.
+
+    Only ``evaluations`` may differ: stage 1 skips the visits of communities
+    whose inputs have not changed since a visit that found no move, which
+    the reference makes and scores.
+    """
 
     @staticmethod
     def assert_same(net):
@@ -203,27 +211,33 @@ class TestStage1MatchesReference:
         assert result.partition.external_sum == part.external_sum
         assert (result.seeded_ids, result.promoted_vertices, result.sweeps) == \
             (seeded, promoted, sweeps)
-        assert (result.evaluations, result.moves, result.steals) == (evaluations, moves, steals)
-        return result
+        assert (result.moves, result.steals) == (moves, steals)
+        assert result.evaluations <= evaluations
+        return result, evaluations
 
     def test_fuzz_graphs(self):
         steals = 0
         for seed, n in enumerate(FUZZ_SIZES):
-            steals += self.assert_same(random_network(seed, n=n, p=min(0.3, 6.0 / n))).steals
+            steals += self.assert_same(random_network(seed, n=n, p=min(0.3, 6.0 / n)))[0].steals
         assert steals > 0
 
     def test_planted_fixtures_with_steals_and_promoted_vertices(self):
-        promoted = 0
+        promoted = evaluated = reference_evaluated = 0
         for kwargs in (dict(block_sizes=[10, 10]),
                        dict(block_sizes=[15, 10, 20], p_in=0.3, p_out=0.05,
                             w_in=(0.2, 1.0), w_out=(0.0, 1.0)),
                        dict(block_sizes=[20] * 5, p_in=0.2, p_out=0.02,
                             w_in=(0.0, 1.0), w_out=(0.0, 1.0))):
             for seed in range(4):
-                result = self.assert_same(planted_partition(seed=seed, **kwargs).network)
+                result, evaluations = self.assert_same(
+                    planted_partition(seed=seed, **kwargs).network)
                 assert result.steals > 0
                 promoted += len(result.promoted_vertices)
+                evaluated += result.evaluations
+                reference_evaluated += evaluations
         assert promoted > 0
+        # The skip of unchanged communities fires.
+        assert evaluated < reference_evaluated
 
     def test_decimal_weights_where_summation_order_decides(self):
         # Sums of 0.1s and 0.2s round differently in different orders, so
@@ -371,6 +385,54 @@ class TestStage2:
         assert functional_cohesion(comp, [0, 1]) == pytest.approx(1.0)
         result = stage2_refine(comp, HubConfig(cohesion_threshold=2.0))
         assert sorted(len(g) for g in result.groups.values()) == [1, 1]
+
+
+def _stage1_compressed(net):
+    return compress(net, stage1_agglomerate(net, select_hubs(net)).partition)
+
+
+class TestStage2MatchesReference:
+    """The shared-cell group adjacency merges exactly as the member scan does."""
+
+    @staticmethod
+    def assert_same(comp):
+        merges = 0
+        for lam in LAMBDAS:
+            result = stage2_refine(comp, HubConfig(cohesion_threshold=lam))
+            groups, passes = stage2_reference(comp, lam)
+            assert (result.groups, result.passes) == (groups, passes), lam
+            merges += comp.num_vertices - len(groups)
+        return merges
+
+    def test_fuzz_graphs(self):
+        merges = 0
+        for seed, n in enumerate(FUZZ_SIZES):
+            merges += self.assert_same(
+                _stage1_compressed(random_network(seed, n=n, p=min(0.3, 6.0 / n))))
+        assert merges > 0
+
+    def test_planted_fixture(self):
+        syn = planted_partition([20] * 30, p_in=0.4, p_out=0.005, w_out=(0.0, 0.5), seed=1)
+        assert self.assert_same(_stage1_compressed(syn.network)) > 0
+
+
+class TestScaleFixture:
+    def test_shape(self):
+        net, block = scale_network(1010, seed=3)
+        assert net.num_vertices == 1010 and block[-1] == 50
+        src, dst = net.edge_src, net.edge_dst
+        inside = block[src] == block[dst]
+        # 50 full blocks and one of 10: 50 * 190 + 45 pairs at p_in 0.4.
+        assert abs(int(inside.sum()) - 0.4 * 9545) < 5 * np.sqrt(9545 * 0.24)
+        assert 1900 < int((~inside).sum()) <= 2020
+        assert net.edge_weight[inside].min() >= 0.4
+        assert net.edge_weight[~inside].max() <= 0.5
+
+    def test_small_instance_matches_both_references(self):
+        net, _ = scale_network(600, seed=1)
+        result, evaluations = TestStage1MatchesReference.assert_same(net)
+        assert result.evaluations < evaluations
+        assert TestStage2MatchesReference.assert_same(compress(net, result.partition)) > 0
 
 
 class TestDetect:

@@ -75,6 +75,13 @@ class TestLoadExpression:
         with pytest.raises(InputError, match=r"ged\.tsv:4: duplicate gene label 'G1'"):
             fileio.load_expression(path)
 
+    @pytest.mark.parametrize("rows", ["G1\t\t\nG1\t3\t4\n", "G1\t3\t4\nG1\t\t\n"])
+    def test_duplicate_of_dropped_row_rejected(self, tmp_path, rows):
+        path = tmp_path / "ged.tsv"
+        path.write_text("gene_id\tS1\tS2\n" + rows)
+        with pytest.raises(InputError, match=r"ged\.tsv:3: duplicate gene label 'G1'"):
+            fileio.load_expression(path)
+
 
 class TestCatalogueAndAnnotations:
     def test_catalogue_load(self, tmp_path):

@@ -90,6 +90,33 @@ class TestWeightedNetwork:
             [(i, j) for i, j, _ in two_triangles.edges()]
         assert half.weighted_degree(0) == pytest.approx(1.0)
 
+    def test_canonical_and_shuffled_arrays_build_the_same_network(self):
+        base = random_network(7, n=120, p=0.1)
+        rng = np.random.default_rng(7)
+        perm = rng.permutation(base.edge_count)
+        flip = rng.random(base.edge_count) < 0.5
+        src = np.where(flip, base.edge_dst, base.edge_src)[perm]
+        dst = np.where(flip, base.edge_src, base.edge_dst)[perm]
+        canonical = WeightedNetwork.from_arrays(base.num_vertices, base.edge_src,
+                                                base.edge_dst, base.edge_weight)
+        shuffled = WeightedNetwork.from_arrays(base.num_vertices, src, dst,
+                                               base.edge_weight[perm])
+        expected: dict[int, list[tuple[int, float]]] = {}
+        for i, j, w in base.edges():
+            expected.setdefault(i, []).append((j, w))
+            expected.setdefault(j, []).append((i, w))
+        for net in (canonical, shuffled):
+            assert net.edges() == base.edges()
+            assert np.array_equal(net.degrees, base.degrees)
+            adj, adj_w = net.adjacency_lists()
+            for v in range(net.num_vertices):
+                assert list(zip(adj[v], adj_w[v])) == sorted(expected.get(v, []))
+
+    def test_sorted_conflicting_duplicate_rejected(self):
+        with pytest.raises(ValueError, match="conflicting duplicate"):
+            WeightedNetwork.from_arrays(3, np.array([0, 0, 1]), np.array([1, 1, 2]),
+                                        np.array([0.2, 0.3, 0.4]))
+
 
 class TestPartitionCache:
     def test_single_move_updates_sums(self, two_triangles):
