@@ -27,18 +27,12 @@ class UsageError(ValueError):
 
 
 def resolve_threads(requested: int | None) -> int:
-    """Thread count from the request, WPPI_THREADS, or the hardware default."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("thread count must be >= 1")
-        return requested
-    env = os.environ.get("WPPI_THREADS")
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError("WPPI_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
+    """Thread count from the request, or all cores."""
+    if requested is None:
+        return os.cpu_count() or 1
+    if requested < 1:
+        raise ValueError("thread count must be >= 1")
+    return requested
 
 
 def _add_common(parser: argparse.ArgumentParser, *, threads: bool = False,
@@ -46,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser, *, threads: bool = False,
     parser.add_argument("--output", required=True, help="output directory")
     if threads:
         parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads (default: WPPI_THREADS or all cores)")
+                            help="worker threads (default: all cores)")
     if report_format:
         parser.add_argument("--format", choices=("tsv", "json"), default="tsv",
                             help="report format")

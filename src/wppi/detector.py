@@ -170,17 +170,19 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     Stage 1 is serial; ``threads`` is ignored and kept only because the
     benchmark's traced run (``perfbench/traced.py``) passes it. Each
     candidate is scored in O(1) from two per-vertex caches: ``links[v]`` maps
-    a community to v's weight into it, and ``leave[v]`` is v's leave term for
-    its own community. Both are recomputed from scratch, never patched with
-    ``+=``/``-=``, so every score equals ``move_gain`` bit for bit: a move
-    re-sums, for each neighbour of the moved vertex, its weights into the two
-    communities involved in ascending-neighbour order as
-    ``Partition.weight_to`` does, and updates the two communities' sums from
-    the moved vertex's ``links`` with ``Partition.move``'s operations.
+    each assigned community adjacent to v to v's weight into it, and
+    ``leave[v]`` is v's leave term for its own community. Both are
+    recomputed from scratch, never patched with ``+=``/``-=``, so every score
+    equals ``move_gain`` bit for bit: a move re-sums, for each neighbour of
+    the moved vertex, its weights into the two communities involved in
+    ascending-neighbour order as ``Partition.weight_to`` does, and passes the
+    moved vertex's ``links`` weights to ``Partition.detach`` and
+    ``Partition.attach``, the sum updates ``Partition.move`` also uses.
 
-    Each community keeps a frontier, its non-members mapped to their number
-    of member neighbours, patched around each move; the frontier is the
-    candidate set. A community is visited only while dirty: a visit that
+    A community's frontier, its candidate set, is read off ``links``: the
+    non-members u with ``k in links[u]``. It changes only where a ``links``
+    entry appears or disappears, that is in the re-sum and for the moved
+    vertex itself. A community is visited only while dirty: a visit that
     finds no move cleans it, and a move dirties the target, the source and
     every community listed in ``links[u]`` for a member u of either. Those
     are the communities whose frontier holds a vertex whose leave term was
@@ -207,22 +209,20 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
         weights: dict[int, float] = {}
         for u, w in zip(adj[v], adj_w[v]):
             c = assign[u]
-            weights[c] = weights.get(c, 0.0) + w
+            if c != unassigned:
+                weights[c] = weights.get(c, 0.0) + w
         links.append(weights)
     # Unassigned vertices leave nothing; adding 0.0 to a join term cannot
     # change how it compares.
     leave = [0.0] * network.num_vertices
+    frontier: dict[int, set[int]] = {k: set() for k in communities}
     for v in range(network.num_vertices):
-        if assign[v] != unassigned:
+        own = assign[v]
+        if own != unassigned:
             refresh_leave(v)
-    frontier: dict[int, dict[int, int]] = {}
-    for k, members in communities.items():
-        counts: dict[int, int] = {}
-        for m in members:
-            for u in adj[m]:
-                if assign[u] != k:
-                    counts[u] = counts.get(u, 0) + 1
-        frontier[k] = counts
+        for c in links[v]:
+            if c != own:
+                frontier[c].add(v)
     dirty = set(communities)
 
     sweeps = evaluations = moves = steals = 0
@@ -248,6 +248,8 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             best_gain = 0.0
             # Candidates neighbour a member, so links[v] always holds k; the
             # sum runs in move_gain's order: (after - before) + leave term.
+            # Set order is not index order, so ties go to the lowest index
+            # explicitly.
             for v in candidates:
                 gain = _joined_q(internal_k, external_k, links[v][k], degree[v]) \
                     - before + leave[v]
@@ -260,44 +262,25 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             changed = True
             v = best_v
             src = assign[v]
-            deg = degree[v]
-            nbrs = adj[v]
-            if src != unassigned:
+            if src == unassigned:
+                src = left = None  # the re-sum below then matches no community
+            else:
                 steals += 1
-                w_src = links[v].get(src, 0.0)
-                communities[src].discard(v)
-                internal[src] -= 2.0 * w_src
-                external[src] += 2.0 * w_src - deg
-                if communities[src]:
-                    left = frontier[src]
-                    count = 0
-                    for u in nbrs:
-                        if assign[u] == src:
-                            count += 1
-                        elif left[u] == 1:
-                            del left[u]
-                        else:
-                            left[u] -= 1
-                    if count:
-                        left[v] = count
-                else:
-                    del communities[src], internal[src], external[src], frontier[src]
+                left = frontier[src]
+                if partition.detach(v, links[v].get(src, 0.0)):
+                    del frontier[src]
                     dirty.discard(src)
-            w_dst = links[v][k]
-            assign[v] = k
-            communities[k].add(v)
-            internal[k] += 2.0 * w_dst
-            external[k] += deg - 2.0 * w_dst
-            joined = frontier[k]
-            del joined[v]
-            for u in nbrs:
-                if assign[u] != k:
-                    joined[u] = joined.get(u, 0) + 1
+                elif src in links[v]:
+                    left.add(v)
+            partition.attach(v, k, links[v][k])
+            candidates.discard(v)
             # Weights into src and k changed for v's neighbours: both entries
-            # are summed again from scratch (src may now be absent). The sums
-            # of src and k changed for their members, whose leave terms are
-            # the only ones that read them.
-            for u in nbrs:
+            # are summed again from scratch (src may now be absent), and the
+            # frontiers follow the entries that appear or disappear (an
+            # emptied src's frontier is already dropped). The sums of src and
+            # k changed for their members, whose leave terms are the only
+            # ones that read them.
+            for u in adj[v]:
                 to_k = to_src = 0.0
                 at_src = False
                 for x, w in zip(adj[u], adj_w[u]):
@@ -309,19 +292,18 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
                         at_src = True
                 weights = links[u]
                 weights[k] = to_k
+                if assign[u] != k:
+                    candidates.add(u)
                 if at_src:
                     weights[src] = to_src
-                else:
-                    weights.pop(src, None)
-            dirty.add(k)
-            for u in communities[k]:
-                refresh_leave(u)
-                dirty.update(links[u])
-            if src in communities:
-                dirty.add(src)
-                for u in communities[src]:
-                    refresh_leave(u)
-                    dirty.update(links[u])
+                elif weights.pop(src, None) is not None:
+                    left.discard(u)
+            for c in (k, src):
+                if c in communities:
+                    dirty.add(c)
+                    for u in communities[c]:
+                        refresh_leave(u)
+                        dirty.update(links[u])
         if not changed:
             break
     seeded = tuple(partition.community_ids())
@@ -403,9 +385,17 @@ def connectivity(member_count: int, internal_edge_count: int) -> float:
     return 2.0 * internal_edge_count / (member_count * (member_count - 1))
 
 
-def _internal_stats(compressed: CompressedNetwork,
-                    members: Sequence[int]) -> tuple[int, float]:
-    group = sorted(set(members))
+def _intensity_and_edges(compressed: CompressedNetwork,
+                         group: Sequence[int]) -> tuple[float, int]:
+    # Interaction intensity and internal super-edge count of a sorted,
+    # duplicate-free group, from one walk over its pairs.
+    if len(group) < 2:
+        raise ValueError("interaction intensity needs at least 2 members")
+    denom = 0.0
+    for sv in group:
+        if not compressed.neighbors[sv]:
+            raise ValueError("isolated super-vertex")
+        denom += float(compressed.mean_neighbor_weight[sv])
     count = 0
     weight = 0.0
     for pos, a in enumerate(group):
@@ -414,32 +404,23 @@ def _internal_stats(compressed: CompressedNetwork,
             if b in row:
                 count += 1
                 weight += row[b]
-    return count, weight
+    if count == 0:
+        raise ValueError("no internal edges")
+    return 2.0 * weight / denom, count
 
 
 def interaction_intensity(compressed: CompressedNetwork,
                           members: Iterable[int]) -> float:
     """Internal super-edge weight relative to the members' mean neighbor weights."""
-    group = sorted(set(members))
-    if len(group) < 2:
-        raise ValueError("interaction intensity needs at least 2 members")
-    denom = 0.0
-    for sv in group:
-        if not compressed.neighbors[sv]:
-            raise ValueError("isolated super-vertex")
-        denom += float(compressed.mean_neighbor_weight[sv])
-    count, weight = _internal_stats(compressed, group)
-    if count == 0:
-        raise ValueError("no internal edges")
-    return 2.0 * weight / denom
+    return _intensity_and_edges(compressed, sorted(set(members)))[0]
 
 
 def functional_cohesion(compressed: CompressedNetwork,
                         members: Iterable[int]) -> float:
     """Interaction intensity times connectivity of a super-vertex group."""
     group = sorted(set(members))
-    count, _ = _internal_stats(compressed, group)
-    return interaction_intensity(compressed, group) * connectivity(len(group), count)
+    intensity, count = _intensity_and_edges(compressed, group)
+    return intensity * connectivity(len(group), count)
 
 
 @dataclass

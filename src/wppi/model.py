@@ -200,7 +200,10 @@ class Partition:
     ``internal_sum[k]`` is the sum over members of their weight to other
     members (each internal edge counted from both endpoints);
     ``external_sum[k]`` is the total weight crossing the community boundary.
-    Vertices not yet assigned carry the sentinel ``UNASSIGNED``.
+    Vertices not yet assigned carry the sentinel ``UNASSIGNED``. ``detach``
+    and ``attach`` are the only code that updates the sums for a move; they
+    take v's weight into the community as an argument, so a caller that
+    caches it (stage 1) skips ``weight_to``.
     """
 
     UNASSIGNED = -1
@@ -258,18 +261,30 @@ class Partition:
         src = self.assignment[v]
         if src == k:
             return
-        deg = self.network.weighted_degree(v)
         if src != self.UNASSIGNED:
-            w_src = self.weight_to(v, src)
-            self.communities[src].discard(v)
-            self.internal_sum[src] -= 2.0 * w_src
-            self.external_sum[src] += 2.0 * w_src - deg
-            if not self.communities[src]:
-                del self.communities[src]
-                del self.internal_sum[src]
-                del self.external_sum[src]
-            self.assignment[v] = self.UNASSIGNED
-        w_dst = self.weight_to(v, k)
+            self.detach(v, self.weight_to(v, src))
+        self.attach(v, k, self.weight_to(v, k))
+
+    def detach(self, v: int, w_src: float) -> bool:
+        """Unassign v, given its weight w_src into its community.
+
+        Returns whether that community emptied, in which case it is deleted.
+        """
+        src = self.assignment[v]
+        deg = self.network.weighted_degree(v)
+        members = self.communities[src]
+        members.discard(v)
+        self.internal_sum[src] -= 2.0 * w_src
+        self.external_sum[src] += 2.0 * w_src - deg
+        self.assignment[v] = self.UNASSIGNED
+        if members:
+            return False
+        del self.communities[src], self.internal_sum[src], self.external_sum[src]
+        return True
+
+    def attach(self, v: int, k: int, w_dst: float) -> None:
+        """Put unassigned v into community k, given its weight w_dst into k."""
+        deg = self.network.weighted_degree(v)
         self.assignment[v] = k
         self.communities[k].add(v)
         self.internal_sum[k] += 2.0 * w_dst

@@ -7,7 +7,8 @@ uniformly drawn vertex pairs. At n = 32,000 that is about 185k edges.
     python tests/scale_fixture.py 32000 [seed] [lambda]
 
 runs ``detect``'s stages one by one on that network and prints the wall
-time and the process's peak RSS after each stage.
+time and the process's peak RSS after each stage, with stage 1's sweeps,
+evaluations, moves and steals.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ def _main(argv: list[str]) -> int:
     stage1 = detector.stage1_agglomerate(network, seeds, config)
     report("stage 1", time.perf_counter() - start,
            f"sweeps={stage1.sweeps} evaluations={stage1.evaluations} "
+           f"moves={stage1.moves} steals={stage1.steals} "
            f"communities={len(stage1.partition.communities)}")
     start = time.perf_counter()
     compressed = detector.compress(network, stage1.partition)

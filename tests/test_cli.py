@@ -127,6 +127,11 @@ class TestDetectCommand:
                 "--output", toy["out"] / "x")
         assert info.value.code == 2
 
+    def test_stage1_counters_pinned(self, toy_run):
+        detection = json.loads((toy_run / "pipeline_manifest.json").read_text())["detection"]
+        assert (detection["stage1_evaluations"], detection["stage1_moves"],
+                detection["stage1_steals"], detection["stage1_sweeps"]) == (165, 21, 11, 5)
+
     def test_rerun_is_byte_identical(self, toy):
         for name in ("r1", "r2"):
             out = toy["out"] / name
@@ -390,21 +395,12 @@ class TestExitCodes:
 
 
 class TestResolveThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("WPPI_THREADS", "7")
+    def test_explicit_wins(self):
         assert resolve_threads(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("WPPI_THREADS", "5")
-        assert resolve_threads(None) == 5
-
-    def test_hardware_default(self, monkeypatch):
-        monkeypatch.delenv("WPPI_THREADS", raising=False)
+    def test_hardware_default(self):
         assert resolve_threads(None) >= 1
 
-    def test_bad_values_rejected(self, monkeypatch):
+    def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
-        monkeypatch.setenv("WPPI_THREADS", "0")
-        with pytest.raises(ValueError):
-            resolve_threads(None)

@@ -434,6 +434,16 @@ class TestScaleFixture:
         assert result.evaluations < evaluations
         assert TestStage2MatchesReference.assert_same(compress(net, result.partition)) > 0
 
+    @pytest.mark.parametrize("seed, counters", [(1, (15, 130_782, 2_413, 1_391)),
+                                                (2, (22, 200_367, 2_595, 1_565))])
+    def test_stage1_counters_pinned(self, seed, counters):
+        # The reference check above bounds evaluations only from above, so a
+        # frontier that loses a candidate without changing the partition
+        # would pass it; these are exact.
+        net, _ = scale_network(2000, seed)
+        result = stage1_agglomerate(net, select_hubs(net))
+        assert (result.sweeps, result.evaluations, result.moves, result.steals) == counters
+
 
 class TestDetect:
     def test_single_edge_graph(self):
