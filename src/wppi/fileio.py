@@ -1,8 +1,9 @@
 """File formats and atomic report writing.
 
-All ingestion reports malformed content as ``InputError`` carrying the file
-and line. Writers stage into a temporary file in the target directory and
-rename into place, so an interrupted run never leaves a partial file.
+Every loader reads its file through one row reader, ``_rows``, and reports
+malformed content as ``InputError`` carrying the file and line. Writers
+stage into a temporary file in the target directory and rename into place,
+so an interrupted run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -53,13 +54,28 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _data_lines(path):
+def _rows(path):
+    """(line_no, columns) of each line that is neither empty nor a '#' comment."""
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, line
+            if line and not line.startswith("#"):
+                yield line_no, line.split("\t")
+
+
+def _pairs(path, message: str):
+    """The rows whose first two columns are non-empty; others fail with ``message``."""
+    for line_no, cols in _rows(path):
+        if len(cols) < 2 or not cols[0] or not cols[1]:
+            _fail(path, line_no, message)
+        yield line_no, cols
+
+
+def _parse(path, line_no: int, text: str, message: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        _fail(path, line_no, f"{message}: {text!r}")
 
 
 def _index_pairs(rows) -> tuple[ProteinIndex, np.ndarray, np.ndarray]:
@@ -76,12 +92,7 @@ def _index_pairs(rows) -> tuple[ProteinIndex, np.ndarray, np.ndarray]:
 
 def load_ppi(path) -> tuple[ProteinIndex, PpiNetwork]:
     """Two-column interaction TSV (extra columns ignored, '#' lines skipped)."""
-    rows: list[list[str]] = []
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
-        if len(cols) < 2 or not cols[0] or not cols[1]:
-            _fail(path, line_no, "expected two tab-separated protein labels")
-        rows.append(cols)
+    rows = [cols for _, cols in _pairs(path, "expected two tab-separated protein labels")]
     if not rows:
         raise InputError(f"{path}: no interactions found")
     proteins, src, dst = _index_pairs(rows)
@@ -91,25 +102,21 @@ def load_ppi(path) -> tuple[ProteinIndex, PpiNetwork]:
 def load_expression(path) -> ExpressionMatrix:
     """GED TSV: header of sample names, one gene per row, empty cell = missing.
 
-    Rows with more than half of their samples missing are dropped and the
-    remaining gaps are filled with the row mean.
+    Rows with more than half of their samples missing are dropped, the
+    remaining gaps are filled with the row mean; other cells must be finite.
     """
-    rows: list[list[float]] = []
+    rows = _rows(path)
+    line_no, header = next(rows, (0, None))
+    if header is None:
+        raise InputError(f"{path}: empty expression file")
+    if len(header) < 2:
+        _fail(path, line_no, "header must name at least one sample")
+    expected = len(header) - 1
+    values: list[list[float]] = []
     gene_index: dict[str, int] = {}
-    sample_names: list[str] = []
     dropped: list[str] = []
     seen: set[str] = set()
-    expected = None
-    header_seen = False
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
-        if not header_seen:
-            if len(cols) < 2:
-                _fail(path, line_no, "header must name at least one sample")
-            sample_names = cols[1:]
-            expected = len(sample_names)
-            header_seen = True
-            continue
+    for line_no, cols in rows:
         if len(cols) - 1 != expected:
             _fail(path, line_no,
                   f"expected {expected} sample values, found {len(cols) - 1}")
@@ -119,46 +126,36 @@ def load_expression(path) -> ExpressionMatrix:
         if gene in seen:
             _fail(path, line_no, f"duplicate gene label {gene!r}")
         seen.add(gene)
-        values: list[float] = []
-        missing = 0
-        for c, cell in enumerate(cols[1:], start=1):
-            if cell == "":
-                values.append(math.nan)
-                missing += 1
-                continue
+        cells = cols[1:]
+        missing = cells.count("")
+        row: list[float] = []
+        for c, cell in enumerate(cells, start=2):
             try:
-                values.append(float(cell))
+                value = float(cell) if cell else math.nan
             except ValueError:
-                _fail(path, line_no, f"column {c + 1}: not a number: {cell!r}")
+                _fail(path, line_no, f"column {c}: not a number: {cell!r}")
+            if cell and not math.isfinite(value):
+                _fail(path, line_no, f"column {c}: not a finite number: {cell!r}")
+            row.append(value)
         if missing > MISSING_ROW_LIMIT * expected:
             dropped.append(gene)
             continue
-        gene_index[gene] = len(rows)
-        rows.append(values)
-    if not header_seen:
-        raise InputError(f"{path}: empty expression file")
-    if not rows:
+        gene_index[gene] = len(values)
+        values.append(row)
+    if not values:
         raise InputError(f"{path}: no usable expression rows")
-    matrix = np.empty((len(rows), expected), dtype=np.float64)
-    for r, values in enumerate(rows):
-        row = np.array(values)
-        mask = np.isnan(row)
-        if mask.any():
-            row[mask] = row[~mask].mean()
-        matrix[r] = row
+    matrix = np.array(values)
+    gaps = np.isnan(matrix)
+    for r in np.flatnonzero(gaps.any(axis=1)):
+        matrix[r, gaps[r]] = matrix[r, ~gaps[r]].mean()
     return ExpressionMatrix(gene_index=gene_index, values=matrix,
-                            sample_names=sample_names, dropped_genes=dropped)
+                            sample_names=header[1:], dropped_genes=dropped)
 
 
 def load_mapping(path) -> dict[str, str]:
     """Protein-to-gene mapping TSV (protein_id, gene_id)."""
-    mapping: dict[str, str] = {}
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
-        if len(cols) < 2 or not cols[0] or not cols[1]:
-            _fail(path, line_no, "expected protein_id and gene_id columns")
-        mapping[cols[0]] = cols[1]
-    return mapping
+    return {cols[0]: cols[1]
+            for _, cols in _pairs(path, "expected protein_id and gene_id columns")}
 
 
 def write_wppi(path, proteins: ProteinIndex, network: WeightedNetwork) -> None:
@@ -170,16 +167,16 @@ def write_wppi(path, proteins: ProteinIndex, network: WeightedNetwork) -> None:
 
 
 def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
+    message = "expected protein_a, protein_b, weight"
     rows: list[list[str]] = []
     weights: list[float] = []
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
+    for line_no, cols in _pairs(path, message):
         if len(cols) != 3:
-            _fail(path, line_no, "expected protein_a, protein_b, weight")
-        try:
-            weights.append(float(cols[2]))
-        except ValueError:
-            _fail(path, line_no, f"not a number: {cols[2]!r}")
+            _fail(path, line_no, message)
+        weight = _parse(path, line_no, cols[2], "not a number")
+        if not 0.0 <= weight <= 1.0:
+            _fail(path, line_no, f"weight out of range [0, 1]: {cols[2]!r}")
+        weights.append(weight)
         rows.append(cols)
     if not rows:
         raise InputError(f"{path}: no weighted edges found")
@@ -190,10 +187,7 @@ def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
 def load_catalogue(path) -> ComplexCatalogue:
     """Complex catalogue TSV: name, comma-separated protein labels."""
     entries: list[tuple[str, frozenset[str]]] = []
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
-        if len(cols) < 2 or not cols[0] or not cols[1]:
-            _fail(path, line_no, "expected complex_name and protein list")
+    for line_no, cols in _pairs(path, "expected complex_name and protein list"):
         members = frozenset(p for p in cols[1].split(",") if p)
         if len(members) < 2:
             _fail(path, line_no, f"complex {cols[0]!r} needs at least 2 proteins")
@@ -207,46 +201,39 @@ def load_catalogue(path) -> ComplexCatalogue:
 def load_annotations(path) -> AnnotationSet:
     """Annotation TSV: one (protein_label, term_id) pair per line."""
     terms: dict[str, set[str]] = {}
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
-        if len(cols) < 2 or not cols[0] or not cols[1]:
-            _fail(path, line_no, "expected protein_label and term_id columns")
+    for _, cols in _pairs(path, "expected protein_label and term_id columns"):
         terms.setdefault(cols[1], set()).add(cols[0])
     if not terms:
         raise InputError(f"{path}: no annotations found")
     return AnnotationSet({t: frozenset(m) for t, m in terms.items()})
 
 
-def format_metric(value: float | None) -> str:
-    return "NA" if value is None else f"{value:.6f}"
-
-
 def write_communities(path, rows) -> None:
     """Rows of (community_id, labels, functional_cohesion, modularity)."""
     lines = ["community_id\tproteins\tfunctional_cohesion\tmodularity"]
-    for cid, labels, fc, q in rows:
-        lines.append(f"{cid}\t{','.join(labels)}\t{format_metric(fc)}\t{format_metric(q)}")
+    for cid, labels, *metrics in rows:
+        fc, q = ("NA" if value is None else f"{value:.6f}" for value in metrics)
+        lines.append(f"{cid}\t{','.join(labels)}\t{fc}\t{q}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_communities(path) -> list[tuple[int, list[str], float | None, float | None]]:
-    out: list[tuple[int, list[str], float | None, float | None]] = []
-    for line_no, line in _data_lines(path):
-        cols = line.split("\t")
+    out: dict[int, tuple[int, list[str], float | None, float | None]] = {}
+    for line_no, cols in _rows(path):
         if cols[0] == "community_id":
             continue
         if len(cols) != 4:
             _fail(path, line_no, "expected 4 tab-separated columns")
-        try:
-            cid = int(cols[0])
-        except ValueError:
-            _fail(path, line_no, f"bad community id: {cols[0]!r}")
+        cid = _parse(path, line_no, cols[0], "bad community id", int)
+        if cid in out:
+            _fail(path, line_no, f"duplicate community id {cid}")
         labels = [p for p in cols[1].split(",") if p]
         if not labels:
             _fail(path, line_no, "community with no proteins")
-        fc = None if cols[2] == "NA" else float(cols[2])
-        q = None if cols[3] == "NA" else float(cols[3])
-        out.append((cid, labels, fc, q))
+        fc, q = (None if text == "NA"
+                 else _parse(path, line_no, text, f"column {c}: not a number")
+                 for c, text in enumerate(cols[2:], start=3))
+        out[cid] = (cid, labels, fc, q)
     if not out:
         raise InputError(f"{path}: no communities found")
-    return out
+    return list(out.values())

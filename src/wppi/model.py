@@ -133,9 +133,9 @@ class WeightedNetwork:
             v = int(src[np.argmax(src == dst)])
             raise ValueError(f"self-loop not allowed: ({v}, {v})")
         key, order, repeat = _canonical(num_vertices, src, dst)
-        if wgt.size and (float(wgt.min()) < 0.0 or float(wgt.max()) > 1.0):
-            bad = wgt[(wgt < 0.0) | (wgt > 1.0)][0]
-            raise ValueError(f"weight out of range [0, 1]: {bad!r}")
+        bad = ~((wgt >= 0.0) & (wgt <= 1.0))  # NaN fails both tests
+        if bad.any():
+            raise ValueError(f"weight out of range [0, 1]: {wgt[bad][0]!r}")
         wgt = wgt[order]
         if np.any(repeat):
             if np.any(wgt[repeat] != wgt[np.flatnonzero(repeat) - 1]):

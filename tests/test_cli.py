@@ -109,6 +109,15 @@ class TestDetectCommand:
         rows = (toy["out"] / "zw" / "communities.tsv").read_text().strip().splitlines()
         assert len(rows) >= 3  # header + at least two communities
 
+    @pytest.mark.parametrize("row", ["B\tC\tnan", "B\tC\t1.5", "\tC\t0.4"],
+                             ids=["nan", "above-one", "empty-label"])
+    def test_bad_row_is_input_error_at_its_line(self, toy, capsys, row):
+        wppi = toy["out"] / "bad.tsv"
+        wppi.write_text(f"# wppi v1\nA\tB\t0.5\n{row}\n")
+        assert run("detect", "--wppi", wppi, "--output", toy["out"] / "bad") == 2
+        assert f"{wppi}:3: " in capsys.readouterr().err
+        assert not (toy["out"] / "bad").exists()
+
     def test_stage2_pass_cap_is_gone(self, toy, toy_run):
         import jsonschema
         from importlib import resources
@@ -236,6 +245,14 @@ class TestEvaluateCommand:
         assert block["population"] == 2
         assert {(r["community_id"], r["community_size"], r["overlap"])
                 for r in block["records"]} == {(0, 1, 1), (1, 1, 1)}
+
+    def test_duplicate_community_id_is_input_error(self, toy, toy_run, capsys):
+        communities = toy["out"] / "dup.tsv"
+        communities.write_text("community_id\tproteins\tfunctional_cohesion\tmodularity\n"
+                               "0\tP00,P01\tNA\t1.0\n0\tP02,P03\tNA\t1.0\n")
+        assert run("evaluate", "--communities", communities, "--catalogue", toy["catalogue"],
+                   "--output", toy["out"] / "dup") == 2
+        assert f"{communities}:3: duplicate community id 0" in capsys.readouterr().err
 
     def test_needs_some_reference(self, toy, toy_run):
         communities = toy_run / "communities.tsv"

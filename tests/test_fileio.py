@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,49 @@ class TestLoadExpression:
             fileio.load_expression(path)
 
 
+    @pytest.mark.parametrize("row, column, cell", [
+        ("G1\t1\tnan\t3", 3, "nan"),
+        ("G1\tinf\t2\t3", 2, "inf"),
+        ("G1\t\t\t-Infinity", 4, "-Infinity"),
+    ], ids=["nan", "inf", "row-over-the-limit"])
+    def test_non_finite_cell_rejected(self, tmp_path, row, column, cell):
+        path = tmp_path / "ged.tsv"
+        path.write_text(f"gene_id\tS1\tS2\tS3\n{row}\n")
+        message = f"ged.tsv:2: column {column}: not a finite number: {cell!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            fileio.load_expression(path)
+
+
+class TestLoadWppi:
+    def test_empty_label_rejected(self, tmp_path):
+        path = tmp_path / "wppi.tsv"
+        path.write_text("# wppi v1\nA\tB\t0.5\n\tC\t0.4\n")
+        with pytest.raises(InputError, match=r"wppi\.tsv:3: expected protein_a, protein_b, weight"):
+            fileio.load_wppi(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "1.5", "-0.25", "inf"])
+    def test_weight_outside_unit_interval_rejected(self, tmp_path, weight):
+        path = tmp_path / "wppi.tsv"
+        path.write_text(f"# wppi v1\nA\tB\t0.5\nB\tC\t{weight}\n")
+        message = f"wppi.tsv:3: weight out of range [0, 1]: {weight!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            fileio.load_wppi(path)
+
+
+class TestLoadMapping:
+    def test_comments_blank_lines_crlf_and_extras(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_bytes(b"# protein\tgene\r\nP1\tG1\r\n\r\nP2\tG2\textra\r\nP3\tG1\r\n")
+        assert fileio.load_mapping(path) == {"P1": "G1", "P2": "G2", "P3": "G1"}
+
+    @pytest.mark.parametrize("row", ["P3\t", "\tG3", "P3"], ids=["no-gene", "no-protein", "one-column"])
+    def test_row_without_two_labels_rejected(self, tmp_path, row):
+        path = tmp_path / "map.tsv"
+        path.write_text(f"P1\tG1\n{row}\n")
+        with pytest.raises(InputError, match=r"map\.tsv:2: expected protein_id and gene_id columns"):
+            fileio.load_mapping(path)
+
+
 class TestCatalogueAndAnnotations:
     def test_catalogue_load(self, tmp_path):
         path = tmp_path / "cat.tsv"
@@ -117,6 +162,20 @@ class TestCommunitiesFile:
         rows = fileio.load_communities(path)
         assert rows[0] == (0, ["a", "b"], 2.5, 3.0)
         assert rows[1] == (1, ["c"], None, 0.5)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "communities.tsv"
+        path.write_text("community_id\tproteins\tfunctional_cohesion\tmodularity\n"
+                        "0\ta,b\tNA\t1.0\n0\tc,d\tNA\t2.0\n")
+        with pytest.raises(InputError, match=r"communities\.tsv:3: duplicate community id 0"):
+            fileio.load_communities(path)
+
+    @pytest.mark.parametrize("fc, q, column", [("abc", "NA", 3), ("NA", "1.0x", 4)])
+    def test_non_numeric_metric_rejected(self, tmp_path, fc, q, column):
+        path = tmp_path / "communities.tsv"
+        path.write_text(f"0\ta,b\t{fc}\t{q}\n")
+        with pytest.raises(InputError, match=rf"communities\.tsv:1: column {column}: not a number"):
+            fileio.load_communities(path)
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.tsv"

@@ -8,10 +8,12 @@ in CHANGES.md.
 """
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
 from wppi.cli import main
+from wppi.fileio import load_expression
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,6 +30,10 @@ GEN_SYNTHETIC = {
     "ppi.tsv": "a48f581c4876294d9aab58319733d84e98ea4ecd1c4c5b9c565887145e26afe5",
     "truth.tsv": "1fdd981abc928a677c2f689f8c3f88b27a651196df0faed687aba043d80789b4",
     "wppi.tsv": "d62943b8b96538ae8d08be4329f4e4c0dec9b4ebc15bb5a00e68155b9e545059",
+}
+
+BUILD_INGEST = {
+    "wppi.tsv": "98efd61c47379f7527337e49a3e26e455cce6770a3635e692efe472f37e657dc",
 }
 
 EVALUATE_TIES = {
@@ -59,6 +65,84 @@ def test_gen_synthetic(tmp_path):
     assert _digests(out) == GEN_SYNTHETIC
 
 
+def _drawing(rng: random.Random):
+    """Integer and sampling draws made from ``rng.random`` alone."""
+    def draw(lo, hi):
+        return lo + int(rng.random() * (hi - lo + 1))
+
+    def sample(items, k):
+        pool = list(items)
+        return [pool.pop(draw(0, len(pool) - 1)) for _ in range(k)]
+
+    return draw, sample
+
+
+def _build_inputs(root: Path) -> dict[str, Path]:
+    """A PPI, an expression matrix and a mapping over 50 proteins, seeded.
+
+    The PPI file has CRLF endings, '#' and blank lines, extra columns,
+    reversed repeats and self-loops. The expression file has '#' lines, rows
+    with one to four of eight cells empty (mean-imputed) and rows with five
+    or more empty (dropped). P00-P34 map to genes g00-g34, P45-P49 to genes
+    whose rows are dropped; P35-P44 are unmapped, and only P40-P44 have rows
+    under their own label. Draws come from ``Random.random`` only, as in
+    ``_evaluate_inputs``.
+    """
+    rng = random.Random(21)
+    draw, sample = _drawing(rng)
+    proteins = [f"P{i:02d}" for i in range(50)]
+    mapping = {p: f"g{i:02d}" for i, p in enumerate(proteins) if i < 35 or i >= 45}
+    genes = [mapping.get(p, p) for p in proteins[:35] + proteins[40:]]
+    ged = ["# expression", "gene_id\t" + "\t".join(f"S{k}" for k in range(1, 9))]
+    for i, gene in enumerate(genes):
+        cells = [f"{rng.random() * 8 - 2:.3f}" for _ in range(8)]
+        if i >= 40:
+            gaps = draw(5, 8)  # over the limit of 4: dropped
+        elif i % 3 == 0:
+            gaps = draw(1, 4)  # mean-imputed
+        else:
+            gaps = 0
+        for k in sample(range(8), gaps):
+            cells[k] = ""
+        ged.append("\t".join([gene] + cells))
+        if i % 13 == 6:
+            ged.append("# note")
+    ppi = ["# interactions", "# protein_a\tprotein_b\tscore"]
+    edges: list[tuple[str, str]] = []
+    for _ in range(160):
+        roll = rng.random()
+        if edges and roll < 0.1:
+            a, b = edges[draw(0, len(edges) - 1)][::-1]
+        elif roll < 0.15:
+            a = b = proteins[draw(0, 49)]
+        else:
+            a, b = sample(proteins, 2)
+        edges.append((a, b))
+        ppi.append(f"{a}\t{b}" + (f"\tscore={draw(1, 999)}" if rng.random() < 0.3 else ""))
+        if rng.random() < 0.05:
+            ppi.append("# checkpoint" if rng.random() < 0.5 else "")
+    root.mkdir()
+    paths = {name: root / f"{name}.tsv" for name in ("ppi", "ged", "mapping")}
+    paths["ppi"].write_bytes(("\r\n".join(ppi) + "\r\n").encode())
+    paths["ged"].write_text("\n".join(ged) + "\n")
+    paths["mapping"].write_text("# protein_id\tgene_id\n"
+                                + "".join(f"{p}\t{g}\n" for p, g in mapping.items()))
+    return paths
+
+
+def test_build_wppi_ingest(tmp_path):
+    paths = _build_inputs(tmp_path / "in")
+    out = tmp_path / "b"
+    assert main(["build-wppi", "--ppi", str(paths["ppi"]), "--ged", str(paths["ged"]),
+                 "--mapping", str(paths["mapping"]), "--threads", "2",
+                 "--output", str(out)]) == 0
+    assert _digests(out) == BUILD_INGEST
+    build = json.loads((out / "build_manifest.json").read_text())["build"]
+    assert build["self_loops_dropped"] > 0 and build["duplicates_dropped"] > 0
+    assert build["matched_edges"] > 0 and build["unmatched_edges"] > 0
+    assert load_expression(paths["ged"]).dropped_genes == [f"g{i}" for i in range(45, 50)]
+
+
 def _evaluate_inputs(root: Path) -> dict[str, Path]:
     """50 communities, 200 terms and 40 complexes over 430 proteins, seeded.
 
@@ -71,13 +155,7 @@ def _evaluate_inputs(root: Path) -> dict[str, Path]:
     across versions, so the files and their digests do too.
     """
     rng = random.Random(8)
-
-    def draw(lo, hi):
-        return lo + int(rng.random() * (hi - lo + 1))
-
-    def sample(items, k):
-        pool = list(items)
-        return [pool.pop(draw(0, len(pool) - 1)) for _ in range(k)]
+    draw, sample = _drawing(rng)
 
     proteins = [f"P{i:03d}" for i in range(400)]
     lonely = [f"Q{i:02d}" for i in range(30)]

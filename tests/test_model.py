@@ -68,6 +68,12 @@ class TestWeightedNetwork:
         with pytest.raises(ValueError, match="weight out of range"):
             WeightedNetwork(2, [(0, 1, 1.5)])
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="weight out of range"):
+            WeightedNetwork(2, [(0, 1, float("nan"))])
+        with pytest.raises(ValueError, match="weight out of range"):
+            WeightedNetwork.from_arrays(3, [0, 1], [1, 2], [0.5, np.nan])
+
     def test_neighbors_sorted(self):
         net = WeightedNetwork(4, [(2, 0, 0.3), (0, 1, 0.2), (0, 3, 0.9)])
         idx, wgt = net.neighbors(0)
