@@ -50,20 +50,23 @@ def quantile_normalize_values(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("matrix contains non-finite values")
     n, m = v.shape
-    rank_means = np.sort(v, axis=0).mean(axis=1)
+    # Any sort order will do: the members of a tie run all get the same value.
+    order = np.argsort(v.T, axis=1)
+    ranked = np.take_along_axis(v.T, order, axis=1)
+    # Row means of the (n, m) C-contiguous layout sum as np.sort(v, axis=0).mean(axis=1).
+    rank_means = np.ascontiguousarray(ranked.T).mean(axis=1)
+    # A run of equal neighbours over ranks [i, j] of a sorted column gets
+    # rank_means[i:j + 1].mean(), for all runs of one length at once.
+    tied = np.pad(ranked[:, 1:] == ranked[:, :-1], ((0, 0), (1, 1)))
+    del ranked
+    starts, ends = np.flatnonzero(np.diff(tied, axis=1)).reshape(-1, 2).T
+    lengths = ends - starts + 1
+    by_rank = np.tile(rank_means, m)
+    for length in np.unique(lengths).tolist():
+        cells = starts[lengths == length, None] + np.arange(length)
+        by_rank[cells] = rank_means[cells % n].mean(axis=1, keepdims=True)
     out = np.empty_like(v)
-    for c in range(m):
-        col = v[:, c]
-        order = np.argsort(col, kind="stable")
-        ranked = col[order]
-        # Tie groups are the runs of equal neighbours in sorted order; each
-        # run [i, j] gets the mean of the rank values it covers.
-        by_rank = rank_means.copy()
-        edges = np.diff(np.concatenate(([0], ranked[1:] == ranked[:-1], [0])).astype(np.int8))
-        for i, j in zip(np.flatnonzero(edges == 1).tolist(),
-                        np.flatnonzero(edges == -1).tolist()):
-            by_rank[i:j + 1] = rank_means[i:j + 1].mean()
-        out[order, c] = by_rank
+    np.put_along_axis(out.T, order, by_rank.reshape(m, n), axis=1)
     return out
 
 

@@ -8,8 +8,10 @@ the ``tests/data`` toy fixture through ``pipeline`` in tsv and json; the
 ``perfbench/gen.py`` ``pipeline-planted`` inputs for seeds 1-3 through
 ``pipeline``; the ``build-and-evaluate`` seed 1 inputs through
 ``build-wppi`` and ``evaluate --format json``; and ``detect --wppi`` on that
-build's ``wppi.tsv`` at lambda 1, 2 and 3. Everything is written into a
-temporary directory that is removed afterwards.
+build's ``wppi.tsv`` at lambda 1, 2 and 3; and ``build-wppi --mapping`` on a
+messy fixture the script writes, whose expression file only the row-by-row
+reader accepts. Everything is written into a temporary directory that is
+removed afterwards.
 
 Each run prints one ``name exit=<code>`` line, then one ``name/file sha256``
 line per output file. JSON files are hashed after dropping ``*_seconds``
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -62,6 +65,41 @@ def _run(name: str, out: Path, *argv) -> None:
             print(f"{name}/{path.name} {_digest(path)}", flush=True)
 
 
+def _messy_inputs(root: Path) -> dict[str, Path]:
+    """PPI, expression and mapping files over 60 proteins, seeded, with CRLF
+    endings, '#' lines, extra PPI columns, empty and padded cells, rows over
+    the missing-cell limit and '1_0' cells (which float() reads as 10)."""
+    rng = random.Random(5)
+    proteins = [f"P{i:02d}" for i in range(60)]
+    genes = {p: f"g{i:02d}" for i, p in enumerate(proteins) if i % 4}
+    ged = ["# expression", "gene_id\t" + "\t".join(f"C{k}" for k in range(12))]
+    for i, gene in enumerate(sorted(set(genes.values())) + proteins[:10:2]):
+        cells = [f"{rng.random() * 6 - 3:.3f}" for _ in range(12)]
+        for k in range(12):
+            roll = rng.random()
+            if roll < 0.08 or i % 11 == 3:
+                cells[k] = ""
+            elif roll < 0.14:
+                cells[k] = f" {cells[k]} "
+            elif roll < 0.17:
+                cells[k] = "1_0"
+        ged.append("\t".join([gene] + cells))
+        if i % 9 == 4:
+            ged.append("# batch")
+    ppi = ["# protein_a\tprotein_b\tsource"]
+    for _ in range(240):
+        a, b = proteins[int(rng.random() * 60)], proteins[int(rng.random() * 60)]
+        ppi.append(f"{a}\t{b}" + ("\tsrc=y2h\tscore=1" if rng.random() < 0.3 else ""))
+        if rng.random() < 0.05:
+            ppi.append("# checkpoint")
+    root.mkdir()
+    paths = {name: root / f"{name}.tsv" for name in ("ppi", "ged", "mapping")}
+    mapping = ["# protein\tgene"] + [f"{p}\t{g}" for p, g in genes.items()]
+    for name, lines in (("ppi", ppi), ("ged", ged), ("mapping", mapping)):
+        paths[name].write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    return paths
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="wppi-identity-") as tmp:
         tmp = Path(tmp)
@@ -85,6 +123,9 @@ def main() -> int:
         for lam in ("1", "2", "3"):
             _run(f"bae-detect-{lam}", tmp / f"bae-detect-{lam}", "detect",
                  "--wppi", build / "wppi.tsv", "--lambda", lam)
+        f = _messy_inputs(tmp / "messy-in")
+        _run("messy-build", tmp / "messy-build", "build-wppi", "--ppi", f["ppi"],
+             "--ged", f["ged"], "--mapping", f["mapping"], "--threads", THREADS)
     return 0
 
 

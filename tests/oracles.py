@@ -372,3 +372,72 @@ def stage2_reference(compressed, lam):
                 del groups[other]
                 changed = True
     return {gid: set(g[0]) for gid, g in groups.items()}, passes
+
+
+def load_expression_loop(path):
+    """The expression loader as it read files before bulk parsing, row by row.
+
+    It imports the package's ``InputError`` and ``ExpressionMatrix`` so that
+    errors and results compare directly with ``fileio.load_expression``.
+    """
+    import numpy as np
+
+    from wppi.expression import ExpressionMatrix
+    from wppi.fileio import MISSING_ROW_LIMIT, InputError
+
+    def _fail(path, line_no: int, message: str):
+        raise InputError(f"{path}:{line_no}: {message}")
+
+    def _rows(path):
+        """(line_no, columns) of each line that is neither empty nor a '#' comment."""
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if line and not line.startswith("#"):
+                    yield line_no, line.split("\t")
+
+    rows = _rows(path)
+    line_no, header = next(rows, (0, None))
+    if header is None:
+        raise InputError(f"{path}: empty expression file")
+    if len(header) < 2:
+        _fail(path, line_no, "header must name at least one sample")
+    expected = len(header) - 1
+    values: list[list[float]] = []
+    gene_index: dict[str, int] = {}
+    dropped: list[str] = []
+    seen: set[str] = set()
+    for line_no, cols in rows:
+        if len(cols) - 1 != expected:
+            _fail(path, line_no,
+                  f"expected {expected} sample values, found {len(cols) - 1}")
+        gene = cols[0]
+        if not gene:
+            _fail(path, line_no, "missing gene label")
+        if gene in seen:
+            _fail(path, line_no, f"duplicate gene label {gene!r}")
+        seen.add(gene)
+        cells = cols[1:]
+        missing = cells.count("")
+        row: list[float] = []
+        for c, cell in enumerate(cells, start=2):
+            try:
+                value = float(cell) if cell else math.nan
+            except ValueError:
+                _fail(path, line_no, f"column {c}: not a number: {cell!r}")
+            if cell and not math.isfinite(value):
+                _fail(path, line_no, f"column {c}: not a finite number: {cell!r}")
+            row.append(value)
+        if missing > MISSING_ROW_LIMIT * expected:
+            dropped.append(gene)
+            continue
+        gene_index[gene] = len(values)
+        values.append(row)
+    if not values:
+        raise InputError(f"{path}: no usable expression rows")
+    matrix = np.array(values)
+    gaps = np.isnan(matrix)
+    for r in np.flatnonzero(gaps.any(axis=1)):
+        matrix[r, gaps[r]] = matrix[r, ~gaps[r]].mean()
+    return ExpressionMatrix(gene_index=gene_index, values=matrix,
+                            sample_names=header[1:], dropped_genes=dropped)

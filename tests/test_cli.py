@@ -71,6 +71,20 @@ class TestBuildCommand:
                    "--output", toy["out"] / "x")
         assert code == 2
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("map.tsv", "P00\tP00\nP00\tP01\n", "map.tsv:2: protein 'P00' maps to 'P00' and 'P01'"),
+        ("ged.tsv", "gene_id\tS1\tS1\nP00\t1\t2\n",
+         "ged.tsv:1: empty or repeated sample name 'S1'"),
+    ], ids=["conflicting-mapping", "repeated-sample"])
+    def test_bad_mapping_or_header_is_input_error(self, toy, tmp_path, capsys, name, text,
+                                                  message):
+        bad = tmp_path / name
+        bad.write_text(text)
+        inputs = {"map.tsv": ["--ged", toy["ged"], "--mapping", bad], "ged.tsv": ["--ged", bad]}
+        code = run("build-wppi", "--ppi", toy["ppi"], *inputs[name], "--output", toy["out"] / "z")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_nonexistent_input_is_input_error(self, toy):
         code = run("build-wppi", "--ppi", toy["out"] / "nope.tsv", "--ged",
                    toy["ged"], "--output", toy["out"] / "y")

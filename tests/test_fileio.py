@@ -1,3 +1,4 @@
+import random
 import re
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from wppi import fileio
 from wppi.fileio import InputError
+
+from .oracles import load_expression_loop
 
 
 class TestLoadPpi:
@@ -89,13 +92,108 @@ class TestLoadExpression:
         ("G1\t1\tnan\t3", 3, "nan"),
         ("G1\tinf\t2\t3", 2, "inf"),
         ("G1\t\t\t-Infinity", 4, "-Infinity"),
-    ], ids=["nan", "inf", "row-over-the-limit"])
+        ("G1\t1\t2\t-1e400", 4, "-1e400"),
+    ], ids=["nan", "inf", "row-over-the-limit", "overflow"])
     def test_non_finite_cell_rejected(self, tmp_path, row, column, cell):
         path = tmp_path / "ged.tsv"
         path.write_text(f"gene_id\tS1\tS2\tS3\n{row}\n")
         message = f"ged.tsv:2: column {column}: not a finite number: {cell!r}"
         with pytest.raises(InputError, match=re.escape(message)):
             fileio.load_expression(path)
+
+    @pytest.mark.parametrize("header, name", [("gene_id\tS1\tS1", "S1"),
+                                              ("gene_id\tS1\t\tS3", ""),
+                                              ("gene_id\t", "")],
+                             ids=["repeated", "empty", "only-empty"])
+    @pytest.mark.parametrize("cell", ["1.5", "1_0"], ids=["bulk", "row-by-row"])
+    def test_bad_sample_names_rejected_at_header(self, tmp_path, header, name, cell):
+        path = tmp_path / "ged.tsv"
+        width = header.count("\t")
+        path.write_text(f"# samples\n{header}\nG1\t" + "\t".join([cell] * width) + "\n")
+        message = f"ged.tsv:2: empty or repeated sample name {name!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            fileio.load_expression(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows, message", [
+        ("G1\t\nG2\t\n", "ged.tsv: no usable expression rows"),
+        ("G1\nG2\t1\n", "ged.tsv:2: expected 1 sample values, found 0"),
+    ], ids=["all-empty", "no-tab"])
+    def test_rows_without_cell_text(self, tmp_path, rows, message):
+        path = tmp_path / "ged.tsv"
+        path.write_text("gene_id\tS1\n" + rows)
+        with pytest.raises(InputError, match=re.escape(message)):
+            fileio.load_expression(path)
+
+    def test_clean_file_with_gaps_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "ged.tsv"
+        path.write_text("gene_id\tS1\tS2\tS3\nG1\t1\t2\t3\nG2\t2.5\t\t0.5\n"
+                        "G3\t\t-0\t4e-3\nG4\t\t\t7\n")
+
+        def row_by_row(*args):
+            raise AssertionError("fell back to the row-by-row reader")
+
+        monkeypatch.setattr(fileio, "_row_values", row_by_row)
+        matrix = fileio.load_expression(path)
+        assert matrix.values.tolist() == [[1.0, 2.0, 3.0], [2.5, 1.5, 0.5],
+                                          [0.002, -0.0, 0.004]]
+        assert matrix.gene_index == {"G1": 0, "G2": 1, "G3": 2}
+        assert matrix.dropped_genes == ["G4"]
+
+
+# Cells float() reads, cells numpy's parser rejects or reads differently, and
+# cells that are errors, for the bulk-versus-row-by-row fuzz test below.
+PLAIN_CELLS = ["1.5", "-2", "0", "3.25e2", "-0", "+.5", "7", "1e-400", ""]
+ODD_CELLS = [" 1.5 ", "1_0", "\u0661", "1\x0b", "\x851", "2\x0c", "\u30001", "4\x1c", "0x10"]
+BAD_CELLS = ["nan", "inf", "-Infinity", "1e400", "abc", "1 2", "1,5", "\x1f", " ", "1\x0b2"]
+
+
+def _fuzz_expression_file(rng: random.Random) -> bytes:
+    """A seeded expression file mixing valid rows with the ways a row goes wrong."""
+    width = rng.randint(1, 6)
+    pool = PLAIN_CELLS + (ODD_CELLS if rng.random() < 0.4 else []) + \
+        (BAD_CELLS if rng.random() < 0.2 else [])
+    lines = ["# expression"] if rng.random() < 0.3 else []
+    lines.append("gene_id\t" + "\t".join(f"S{k}" for k in range(width)))
+    for i in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["", "# note", "#G\t1"]))
+            continue
+        label = rng.choice([f"G{i}", f"G#{i}", f"G{i} x"])
+        if roll < 0.07:
+            label = rng.choice(["", "G0"])  # empty or, perhaps, repeated
+        cells = [rng.choice(pool) if rng.random() < 0.5 else f"{rng.uniform(-9, 9):.3f}"
+                 for _ in range(width)]
+        if roll > 0.85:
+            cells = [""] * width  # over the limit, unless one cell is filled again
+            cells[rng.randrange(width)] = rng.choice(["", "2.5"])
+        elif roll > 0.83:
+            cells = cells[1:] if rng.random() < 0.5 else cells + [rng.choice(["", "1"])]
+        lines.append("\t".join([label] + cells))
+    ending = rng.choice(["\n", "\r\n", "\n", "\r"])
+    return (ending.join(lines) + rng.choice([ending, ""])).encode("utf-8")
+
+
+def _outcome(load, path):
+    try:
+        m = load(path)
+    except InputError as exc:
+        return "error", str(exc)
+    return (m.values.shape, m.values.tobytes(), m.gene_index, m.dropped_genes, m.sample_names)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bulk_reading_equals_the_row_by_row_loop(tmp_path):
+    rng = random.Random(14)
+    kinds = set()
+    for case in range(200):
+        path = tmp_path / f"ged-{case}.tsv"
+        path.write_bytes(_fuzz_expression_file(rng))
+        expected = _outcome(load_expression_loop, path)
+        assert _outcome(fileio.load_expression, path) == expected, path.read_bytes()
+        kinds.add(expected[0] == "error")
+    assert kinds == {True, False}
 
 
 class TestLoadWppi:
@@ -126,6 +224,18 @@ class TestLoadMapping:
         path.write_text(f"P1\tG1\n{row}\n")
         with pytest.raises(InputError, match=r"map\.tsv:2: expected protein_id and gene_id columns"):
             fileio.load_mapping(path)
+
+    def test_protein_mapped_to_two_genes_rejected(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("P1\tG1\nP2\tG2\nP1\tG1\textra\n# note\nP1\tG2\n")
+        message = "map.tsv:5: protein 'P1' maps to 'G1' and 'G2'"
+        with pytest.raises(InputError, match=re.escape(message)):
+            fileio.load_mapping(path)
+
+    def test_exact_repeat_allowed(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("P1\tG1\nP2\tG2\nP1\tG1\n")
+        assert fileio.load_mapping(path) == {"P1": "G1", "P2": "G2"}
 
 
 class TestCatalogueAndAnnotations:

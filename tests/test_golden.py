@@ -9,7 +9,11 @@ in CHANGES.md.
 
 import hashlib
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from wppi.cli import main
@@ -203,3 +207,45 @@ def test_evaluate_with_ties(tmp_path):
                  "--annotations", str(paths["annotations"]),
                  "--format", "tsv", "--output", str(out)]) == 0
     assert _digests(out) == EVALUATE_TIES
+
+
+def _scrubbed(value):
+    if isinstance(value, dict):
+        return {k: _scrubbed(v) for k, v in value.items() if not k.endswith("_seconds")}
+    if isinstance(value, list):
+        return [_scrubbed(v) for v in value]
+    return value
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Each pass is a fresh process, so set and dict orders must not reach any output.
+
+    Both seeds write to the same paths; manifests are compared without their
+    ``*_seconds`` timings, every other file byte for byte.
+    """
+    build = _build_inputs(tmp_path / "build-in")
+    evaluate = _evaluate_inputs(tmp_path / "evaluate-in")
+    out = tmp_path / "out"
+    commands = [
+        ["build-wppi", "--ppi", build["ppi"], "--ged", build["ged"],
+         "--mapping", build["mapping"], "--output", out / "build"],
+        ["evaluate", "--communities", evaluate["communities"], "--catalogue",
+         evaluate["catalogue"], "--annotations", evaluate["annotations"],
+         "--format", "json", "--output", out / "evaluate"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    seen = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "wppi.cli", *map(str, argv)],
+                           env=env, check=True, capture_output=True)
+        seen.append({path.relative_to(out).as_posix():
+                     _scrubbed(json.loads(path.read_bytes())) if path.suffix == ".json"
+                     else path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()})
+        shutil.rmtree(out)
+    assert {"build/wppi.tsv", "build/build_manifest.json", "evaluate/evaluation.json"} \
+        <= set(seen[0])
+    assert seen[0] == seen[1]
