@@ -190,8 +190,7 @@ def cmd_build_wppi(args) -> int:
     return 0
 
 
-def _detect_on(network, proteins, args):
-    config = detector.HubConfig(hub_threshold=args.d_alpha, cohesion_threshold=args.cohesion)
+def _detect_on(network, proteins, config: detector.HubConfig):
     started = time.perf_counter()
     try:
         result = detector.detect(network, config)
@@ -208,23 +207,24 @@ def _detect_on(network, proteins, args):
         "communities": len(result.communities),
         "hub_threshold": result.hub_threshold,
         "hub_count": result.hub_count,
-        "stage1_communities": result.stage1_communities,
-        "stage1_sweeps": result.stage1_sweeps,
-        "stage1_hit_cap": result.stage1_hit_cap,
-        "stage1_evaluations": result.stage1_evaluations,
-        "stage1_moves": result.stage1_moves,
-        "stage1_steals": result.stage1_steals,
-        "stage2_passes": result.stage2_passes,
+        "stage1_communities": len(result.stage1.partition.communities),
+        "stage1_sweeps": result.stage1.sweeps,
+        "stage1_hit_cap": result.stage1.hit_cap,
+        "stage1_evaluations": result.stage1.evaluations,
+        "stage1_moves": result.stage1.moves,
+        "stage1_steals": result.stage1.steals,
+        "stage2_passes": result.stage2.passes,
         "detect_seconds": round(elapsed, 4),
     }
     return rows, summary
 
 
 def cmd_detect(args) -> int:
+    config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
     out = Path(args.output)
     proteins, network = fileio.load_wppi(args.wppi)
     inputs = _inputs(args, "wppi")
-    rows, summary = _detect_on(network, proteins, args)
+    rows, summary = _detect_on(network, proteins, config)
     fileio.write_communities(out / "communities.tsv", rows)
     _write_json(out / "detect_manifest.json",
                 _manifest(args, None, inputs, detection=summary))
@@ -333,13 +333,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
     threads = resolve_threads(args.threads)
     out = Path(args.output)
     proteins, result, build_summary = _run_build(args, threads)
     inputs = _inputs(args, "ppi", "ged", "mapping", "catalogue", "annotations")
     if not args.no_intermediates:
         fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
-    rows, detect_summary = _detect_on(result.network, proteins, args)
+    rows, detect_summary = _detect_on(result.network, proteins, config)
     fileio.write_communities(out / "communities.tsv", rows)
 
     sections = None

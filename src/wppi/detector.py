@@ -44,10 +44,11 @@ class HubConfig:
     cohesion_threshold: float = 2.0
 
     def __post_init__(self):
-        if self.hub_threshold is not None and self.hub_threshold < 0:
-            raise ValueError("hub threshold must be >= 0")
-        if self.cohesion_threshold <= 0:
-            raise ValueError("cohesion threshold must be > 0")
+        # Written so that NaN, which fails every comparison, is rejected; inf passes.
+        if self.hub_threshold is not None and not self.hub_threshold >= 0:
+            raise ValueError(f"hub threshold must be >= 0, got {self.hub_threshold!r}")
+        if not self.cohesion_threshold > 0:
+            raise ValueError(f"cohesion threshold must be > 0, got {self.cohesion_threshold!r}")
 
 
 def _q(internal: float, external: float) -> float:
@@ -323,6 +324,9 @@ class CompressedNetwork:
     ``degrees`` aggregates the members' original weighted degrees;
     super-edges aggregate the original weights crossing two communities
     (weights internal to a community never count as super-edges).
+    ``edges`` holds them as (a, b, weight) with a < b, sorted, and every
+    ``neighbors`` row lists its neighbours in ascending order, so a walk
+    over a row needs no sort.
     """
 
     members: list[list[int]]
@@ -337,41 +341,38 @@ class CompressedNetwork:
 
 
 def compress(network: WeightedNetwork, partition: Partition) -> CompressedNetwork:
-    """Fold each community of a total partition into one super-vertex."""
+    """Fold each community of a total partition into one super-vertex.
+
+    Every sum is a ``bincount``, which adds in index order: a degree over
+    the members ascending, a super-edge weight over its original edges in
+    canonical order, and a row total over the row's neighbours ascending
+    (each super-edge is listed from its higher end first, as in the CSR
+    adjacency of ``WeightedNetwork``).
+    """
     if not partition.is_total():
         raise ValueError("partition must be total before compression")
     ids = partition.community_ids()
-    remap = {cid: i for i, cid in enumerate(ids)}
     members = [sorted(partition.communities[cid]) for cid in ids]
     k = len(ids)
+    sv = np.searchsorted(ids, partition.assignment)
+    degrees = np.bincount(sv, weights=network.degrees, minlength=k)
 
-    degrees = np.zeros(k, dtype=np.float64)
-    for sv, group in enumerate(members):
-        total = 0.0
-        for v in group:
-            total += network.weighted_degree(v)
-        degrees[sv] = total
+    a, b = sv[network.edge_src], sv[network.edge_dst]
+    cut = a != b
+    keys, slot = np.unique(np.minimum(a[cut], b[cut]) * k + np.maximum(a[cut], b[cut]),
+                           return_inverse=True)
+    weights = np.bincount(slot, weights=network.edge_weight[cut], minlength=keys.size)
+    lo, hi = keys // k, keys % k
+    ends = np.concatenate([hi, lo])
+    counts = np.bincount(ends, minlength=k)
+    totals = np.bincount(ends, weights=np.concatenate([weights, weights]), minlength=k)
+    mnw = np.divide(totals, counts, out=np.zeros(k), where=counts > 0)
 
-    cross: dict[tuple[int, int], float] = {}
-    for i, j, w in network.edges():
-        a = remap[partition.assignment[i]]
-        b = remap[partition.assignment[j]]
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            cross[key] = cross.get(key, 0.0) + w
-
-    edges = [(a, b, w) for (a, b), w in sorted(cross.items())]
+    edges = list(zip(lo.tolist(), hi.tolist(), weights.tolist()))
     neighbors: list[dict[int, float]] = [dict() for _ in range(k)]
-    for a, b, w in edges:
-        neighbors[a][b] = w
-        neighbors[b][a] = w
-    mnw = np.zeros(k, dtype=np.float64)
-    for sv in range(k):
-        if neighbors[sv]:
-            total = 0.0
-            for u in sorted(neighbors[sv]):
-                total += neighbors[sv][u]
-            mnw[sv] = total / len(neighbors[sv])
+    for x, y, w in edges:
+        neighbors[x][y] = w
+        neighbors[y][x] = w
     return CompressedNetwork(members=members, degrees=degrees, edges=edges,
                              neighbors=neighbors, mean_neighbor_weight=mnw)
 
@@ -388,7 +389,8 @@ def connectivity(member_count: int, internal_edge_count: int) -> float:
 def _intensity_and_edges(compressed: CompressedNetwork,
                          group: Sequence[int]) -> tuple[float, int]:
     # Interaction intensity and internal super-edge count of a sorted,
-    # duplicate-free group, from one walk over its pairs.
+    # duplicate-free group, from one walk over its members' rows. Rows are
+    # ascending, so the pairs (a, b) come in a pair walk's order.
     if len(group) < 2:
         raise ValueError("interaction intensity needs at least 2 members")
     denom = 0.0
@@ -396,14 +398,14 @@ def _intensity_and_edges(compressed: CompressedNetwork,
         if not compressed.neighbors[sv]:
             raise ValueError("isolated super-vertex")
         denom += float(compressed.mean_neighbor_weight[sv])
+    members = set(group)
     count = 0
     weight = 0.0
-    for pos, a in enumerate(group):
-        row = compressed.neighbors[a]
-        for b in group[pos + 1:]:
-            if b in row:
+    for a in group:
+        for b, w in compressed.neighbors[a].items():
+            if b > a and b in members:
                 count += 1
-                weight += row[b]
+                weight += w
     if count == 0:
         raise ValueError("no internal edges")
     return 2.0 * weight / denom, count
@@ -484,7 +486,7 @@ def stage2_refine(compressed: CompressedNetwork,
         for sv in order:
             home = assign[sv]
             row = adjacency[home]
-            for u in sorted(neighbors[sv]):
+            for u in neighbors[sv]:
                 other = assign[u]
                 if other == home:
                     continue
@@ -531,17 +533,14 @@ class CommunityReport:
 
 @dataclass
 class DetectionResult:
+    """Final communities, the hub threshold in effect, and each stage's record."""
+
     partition: Partition
     communities: list[CommunityReport]
     hub_threshold: float
     hub_count: int
-    stage1_communities: int
-    stage1_sweeps: int
-    stage1_hit_cap: bool
-    stage1_evaluations: int
-    stage1_moves: int
-    stage1_steals: int
-    stage2_passes: int
+    stage1: Stage1Result
+    stage2: Stage2Result
 
 
 def detect(network: WeightedNetwork, config: HubConfig | None = None) -> DetectionResult:
@@ -560,12 +559,8 @@ def detect(network: WeightedNetwork, config: HubConfig | None = None) -> Detecti
     stage2 = stage2_refine(compressed, effective)
 
     expanded: list[tuple[list[int], list[int]]] = []
-    for gid in stage2.groups:
-        supers = sorted(stage2.groups[gid])
-        vertices: list[int] = []
-        for sv in supers:
-            vertices.extend(compressed.members[sv])
-        expanded.append((sorted(vertices), supers))
+    for supers in map(sorted, stage2.groups.values()):
+        expanded.append((sorted(v for sv in supers for v in compressed.members[sv]), supers))
     expanded.sort(key=lambda pair: pair[0][0])
 
     final = Partition.from_communities(network, [vs for vs, _ in expanded])
@@ -583,11 +578,6 @@ def detect(network: WeightedNetwork, config: HubConfig | None = None) -> Detecti
         communities=reports,
         hub_threshold=threshold,
         hub_count=hub_count,
-        stage1_communities=len(stage1.partition.communities),
-        stage1_sweeps=stage1.sweeps,
-        stage1_hit_cap=stage1.hit_cap,
-        stage1_evaluations=stage1.evaluations,
-        stage1_moves=stage1.moves,
-        stage1_steals=stage1.steals,
-        stage2_passes=stage2.passes,
+        stage1=stage1,
+        stage2=stage2,
     )

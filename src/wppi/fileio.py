@@ -83,12 +83,17 @@ def _parse(path, line_no: int, text: str, message: str, kind=float):
         _fail(path, line_no, f"{message}: {text!r}")
 
 
-def _index_pairs(labels: list[str]) -> tuple[ProteinIndex, np.ndarray, np.ndarray]:
+def _index_pairs(path, labels: list[str]) -> tuple[ProteinIndex, np.ndarray, np.ndarray]:
     """Intern the labels a0, b0, a1, b1, ... in order of first appearance.
 
     Returns the index and the (src, dst) vertex arrays of the pairs; both
-    network loaders pass through here, so it alone fixes vertex order.
+    network loaders pass through here, so it alone fixes vertex order. A
+    label holding ',', the separator of protein lists in the communities
+    and catalogue files, fails at the first line that has one.
     """
+    if "," in "".join(labels):
+        line_no, label = next((n, a) for n, cols in _pairs(path, "") for a in cols[:2] if "," in a)
+        _fail(path, line_no, f"protein label {label!r} contains ','")
     proteins = ProteinIndex(labels)
     idx = np.fromiter(map(proteins.index_of, labels), dtype=np.int64, count=len(labels))
     return proteins, idx[0::2], idx[1::2]
@@ -100,7 +105,7 @@ def load_ppi(path) -> tuple[ProteinIndex, PpiNetwork]:
               for label in cols[:2]]
     if not labels:
         raise InputError(f"{path}: no interactions found")
-    proteins, src, dst = _index_pairs(labels)
+    proteins, src, dst = _index_pairs(path, labels)
     return proteins, PpiNetwork(len(proteins), src, dst)
 
 
@@ -216,7 +221,7 @@ def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
         labels += cols[:2]
     if not weights:
         raise InputError(f"{path}: no weighted edges found")
-    proteins, src, dst = _index_pairs(labels)
+    proteins, src, dst = _index_pairs(path, labels)
     return proteins, WeightedNetwork.from_arrays(len(proteins), src, dst, np.array(weights))
 
 

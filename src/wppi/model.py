@@ -19,12 +19,8 @@ class ProteinIndex:
     """Bijective label <-> index map, indices assigned by first appearance."""
 
     def __init__(self, labels: Iterable[str]):
-        self._labels: list[str] = []
-        self._index: dict[str, int] = {}
-        for label in labels:
-            if label not in self._index:
-                self._index[label] = len(self._labels)
-                self._labels.append(label)
+        self._labels: list[str] = list(dict.fromkeys(labels))
+        self._index: dict[str, int] = dict(zip(self._labels, range(len(self._labels))))
         if not self._labels:
             raise ValueError("no proteins")
 

@@ -42,6 +42,8 @@ def planted_partition(block_sizes: list[int],
     for lo, hi in (w_in, w_out):
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("weight ranges must satisfy 0 <= low <= high <= 1")
+    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):  # NaN fails too
+        raise ValueError("edge probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     n = sum(block_sizes)
     block_of = np.empty(n, dtype=np.int64)

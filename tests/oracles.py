@@ -374,6 +374,63 @@ def stage2_reference(compressed, lam):
     return {gid: set(g[0]) for gid, g in groups.items()}, passes
 
 
+
+def compress_loop(network, partition):
+    """Compression of a total partition as plain loops, in their summation order.
+
+    Returns (degrees, edges, rows, mean neighbour weights): a degree sums
+    its members' weighted degrees ascending, a super-edge its original edges
+    in canonical order, and a mean its row's weights by ascending neighbour.
+    """
+    ids = sorted(partition.communities)
+    remap = {cid: i for i, cid in enumerate(ids)}
+    degrees = []
+    for cid in ids:
+        total = 0.0
+        for v in sorted(partition.communities[cid]):
+            total += network.weighted_degree(v)
+        degrees.append(total)
+    cross: dict[tuple[int, int], float] = {}
+    for i, j, w in network.edges():
+        a = remap[partition.assignment[i]]
+        b = remap[partition.assignment[j]]
+        if a != b:
+            key = (min(a, b), max(a, b))
+            cross[key] = cross.get(key, 0.0) + w
+    edges = [(a, b, w) for (a, b), w in sorted(cross.items())]
+    rows: list[dict[int, float]] = [{} for _ in ids]
+    for a, b, w in edges:
+        rows[a][b] = rows[b][a] = w
+    means = []
+    for row in rows:
+        total = 0.0
+        for u in sorted(row):
+            total += row[u]
+        means.append(total / len(row) if row else 0.0)
+    return degrees, edges, rows, means
+
+
+def cohesion_pair_walk(compressed, members):
+    """Functional cohesion of a super-vertex group from a walk over all its pairs."""
+    group = sorted(set(members))
+    denom = 0.0
+    for sv in group:
+        if not compressed.neighbors[sv]:
+            raise ValueError("isolated super-vertex")
+        denom += float(compressed.mean_neighbor_weight[sv])
+    count = 0
+    weight = 0.0
+    for pos, a in enumerate(group):
+        row = compressed.neighbors[a]
+        for b in group[pos + 1:]:
+            if b in row:
+                count += 1
+                weight += row[b]
+    if count == 0:
+        raise ValueError("no internal edges")
+    n = len(group)
+    return 2.0 * weight / denom * (2.0 * count / (n * (n - 1)))
+
 def load_expression_loop(path):
     """The expression loader as it read files before bulk parsing, row by row.
 

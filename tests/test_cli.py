@@ -367,6 +367,13 @@ class TestGenSynthetic:
     def test_bad_blocks_usage_error(self, tmp_path):
         assert run("gen-synthetic", "--output", tmp_path, "--blocks", "ten") == 2
 
+    @pytest.mark.parametrize("flag, value", [("--p-in", "nan"), ("--p-out", "nan"),
+                                             ("--p-in", "1.5"), ("--p-out", "-0.5")])
+    def test_edge_probability_outside_unit_interval_is_usage_error(self, tmp_path, flag,
+                                                                    value):
+        assert run("gen-synthetic", "--output", tmp_path / "s", flag, value) == 2
+        assert not (tmp_path / "s").exists()
+
 
 class TestExitCodes:
     @staticmethod
@@ -399,6 +406,32 @@ class TestExitCodes:
     def test_bad_lambda_is_usage_error(self, toy, toy_run):
         for argv in self.detecting_runs(toy, toy_run):
             assert run(*argv, "--lambda", "0", "--output", toy["out"] / "bad") == 2, argv[0]
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--d-alpha"])
+    def test_nan_threshold_is_usage_error_before_any_output(self, toy, toy_run, capsys, flag):
+        out = toy["out"] / "nan"
+        for argv in self.detecting_runs(toy, toy_run):
+            assert run(*argv, flag, "nan", "--output", out) == 2, argv[0]
+            assert "threshold must be" in capsys.readouterr().err
+            assert not out.exists(), argv[0]
+
+    def test_infinite_thresholds_are_valid(self, toy):
+        # --d-alpha inf seeds every vertex; --lambda inf keeps stage 1's communities.
+        out = toy["out"] / "inf"
+        assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"], "--d-alpha", "inf",
+                   "--lambda", "inf", "--output", out) == 0
+        manifest = json.loads((out / "pipeline_manifest.json").read_text())
+        detection = manifest["detection"]
+        assert detection["hub_count"] == manifest["build"]["vertices"]
+        assert detection["communities"] == detection["stage1_communities"]
+
+    def test_comma_in_protein_label_is_input_error(self, toy, capsys):
+        ppi = toy["out"] / "ppi.tsv"
+        ppi.write_text(toy["ppi"].read_text() + "P00\tP01,P02\n")
+        out = toy["out"] / "comma"
+        assert run("pipeline", "--ppi", ppi, "--ged", toy["ged"], "--output", out) == 2
+        assert f"{ppi}:42: protein label 'P01,P02' contains ','" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("build-wppi", "--ppi", "ppi", "--ged", "ged", "--format", "tsv"),

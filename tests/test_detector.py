@@ -23,8 +23,10 @@ from .conftest import random_network
 from .scale_fixture import scale_network
 from .oracles import (
     cohesion_direct,
+    cohesion_pair_walk,
     community_q_direct,
     compress_direct,
+    compress_loop,
     interaction_intensity_direct,
     stage1_reference,
     stage2_reference,
@@ -414,6 +416,56 @@ class TestStage2MatchesReference:
     def test_planted_fixture(self):
         syn = planted_partition([20] * 30, p_in=0.4, p_out=0.005, w_out=(0.0, 0.5), seed=1)
         assert self.assert_same(_stage1_compressed(syn.network)) > 0
+
+
+def _value_or_error(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestExactSums:
+    """compress and functional_cohesion add in the plain loops' order, so
+    their floats equal the oracles' under ==, not approx."""
+
+    @staticmethod
+    def partitions():
+        rng = np.random.default_rng(15)
+        for seed in range(24):
+            n = (30, 60, 120, 200)[seed % 4]
+            net = random_network(seed, n=n, p=8.0 / n, w_lo=0.0)
+            yield net, stage1_agglomerate(net, select_hubs(net)).partition
+            labels = rng.integers(0, (2, 5, n // 4, n // 2)[seed // 6], size=n).tolist()
+            groups = [[v for v in range(n) if labels[v] == g] for g in set(labels)]
+            yield net, Partition.from_communities(net, groups)
+
+    def test_compress_matches_the_loops(self):
+        for net, part in self.partitions():
+            comp = compress(net, part)
+            degrees, edges, rows, means = compress_loop(net, part)
+            assert comp.degrees.tolist() == degrees
+            assert comp.edges == edges
+            assert comp.neighbors == rows
+            assert comp.mean_neighbor_weight.tolist() == means
+            assert all(list(row) == sorted(row) for row in comp.neighbors)
+
+    def test_cohesion_matches_the_pair_walk(self):
+        rng = np.random.default_rng(16)
+        numeric = 0
+        for net, part in self.partitions():
+            comp = compress(net, part)
+            k = comp.num_vertices
+            for sv in range(k):
+                near = list(comp.neighbors[sv])[:int(rng.integers(0, 6))]
+                far = rng.integers(0, k, size=int(rng.integers(0, 3))).tolist()
+                group = sorted({sv, *near, *far})
+                if len(group) < 2:
+                    continue
+                fc = _value_or_error(functional_cohesion, comp, group)
+                assert fc == _value_or_error(cohesion_pair_walk, comp, group), group
+                numeric += isinstance(fc, float)
+        assert numeric > 1000
 
 
 class TestScaleFixture:

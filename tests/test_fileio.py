@@ -47,6 +47,22 @@ class TestInterning:
         assert net.edge_dst.tolist() == wnet.edge_dst.tolist() == [1, 3, 4, 3]
 
 
+@pytest.mark.parametrize("loader, weight", [(fileio.load_ppi, ""), (fileio.load_wppi, "\t0.5")],
+                         ids=["ppi", "wppi"])
+def test_comma_in_protein_label_rejected_at_its_line(tmp_path, loader, weight):
+    # ',' separates the proteins of a communities or catalogue row.
+    path = tmp_path / "net.tsv"
+    path.write_text(f"# a,b\nA\tB{weight}\nB\tC{weight}\n\nC\tA,X{weight}\nA,Y\tB{weight}\n")
+    with pytest.raises(InputError, match=re.escape("net.tsv:5: protein label 'A,X' contains ','")):
+        loader(path)
+
+
+def test_comma_outside_the_labels_is_allowed(tmp_path):
+    path = tmp_path / "ppi.tsv"
+    path.write_text("A\tB\tscore=1,2\n")
+    assert fileio.load_ppi(path)[0].labels == ["A", "B"]
+
+
 class TestLoadExpression:
     def test_round_values_and_missing_imputed(self, tmp_path):
         path = tmp_path / "ged.tsv"

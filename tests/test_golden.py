@@ -17,7 +17,10 @@ import sys
 from pathlib import Path
 
 from wppi.cli import main
-from wppi.fileio import load_expression
+from wppi.fileio import load_expression, write_wppi
+from wppi.model import ProteinIndex
+
+from .scale_fixture import scale_network
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +41,10 @@ GEN_SYNTHETIC = {
 
 BUILD_INGEST = {
     "wppi.tsv": "98efd61c47379f7527337e49a3e26e455cce6770a3635e692efe472f37e657dc",
+}
+
+DETECT_SCALE = {
+    "communities.tsv": "0bdefab079cf655eceb897087f5e63b3dfd6c6a3112b10e8738ed695aa6cfd4d",
 }
 
 EVALUATE_TIES = {
@@ -67,6 +74,20 @@ def test_gen_synthetic(tmp_path):
     assert main(["gen-synthetic", "--blocks", "8,8,8", "--samples", "6", "--seed", "4",
                  "--output", str(out)]) == 0
     assert _digests(out) == GEN_SYNTHETIC
+
+
+def test_detect_on_scale_fixture(tmp_path):
+    """detect --wppi at lambda 2 on the 2,000-vertex scale fixture, seed 1.
+
+    Read back from the file, the vertices are numbered by first appearance,
+    and the run gives 44 communities, 34 of them merged in stage 2.
+    """
+    network, _ = scale_network(2000, 1)
+    wppi = tmp_path / "wppi.tsv"
+    write_wppi(wppi, ProteinIndex(f"P{v:04d}" for v in range(network.num_vertices)), network)
+    out = tmp_path / "detect"
+    assert main(["detect", "--wppi", str(wppi), "--lambda", "2", "--output", str(out)]) == 0
+    assert _digests(out) == DETECT_SCALE
 
 
 def _drawing(rng: random.Random):

@@ -182,7 +182,7 @@ def _check_stage2_invariants(net, lam):
     groups = [frozenset(owner[v] for v in c.vertices) for c in result.communities]
     assert sorted(sv for g in groups for sv in g) == list(range(comp.num_vertices))
     # Every pass but the last merges, and each merge removes a group.
-    assert result.stage2_passes <= comp.num_vertices - len(groups) + 1
+    assert result.stage2.passes <= comp.num_vertices - len(groups) + 1
     group_of = {sv: gid for gid, g in enumerate(groups) for sv in g}
     for g in groups:
         if len(g) > 1:
@@ -210,5 +210,5 @@ class TestStage2Invariants:
                                 seed=1)
         for lam in LAMBDAS:
             result = _check_stage2_invariants(syn.network, lam)
-            assert result.stage2_passes >= 2  # at least one merge, then a quiet pass
+            assert result.stage2.passes >= 2  # at least one merge, then a quiet pass
 

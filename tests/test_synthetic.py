@@ -45,6 +45,11 @@ class TestPlantedPartition:
             planted_partition([])
         with pytest.raises(ValueError, match="weight ranges"):
             planted_partition([3, 3], w_in=(0.9, 0.2))
+        for p in (float("nan"), -0.1, 1.5):
+            with pytest.raises(ValueError, match="edge probabilities"):
+                planted_partition([3, 3], p_in=p)
+            with pytest.raises(ValueError, match="edge probabilities"):
+                planted_partition([3, 3], p_out=p)
 
 
 class TestBlockExpression:
