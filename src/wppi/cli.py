@@ -3,20 +3,24 @@
 Exit codes: 0 on success, 1 for computation failures, 2 for usage or input
 errors. Every emitted manifest embeds the full effective configuration and
 a sha256 of each input file, so a report is reproducible from its inputs.
+Manifests are strict JSON (RFC 8259): an infinite number, such as
+``--lambda inf``, is written as the string "inf" or "-inf".
+
+The numpy-backed modules are imported by the commands that use them, so
+``evaluate`` starts without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, builder, detector, evaluator, fileio, synthetic
+from . import __version__, evaluator, fileio
 
 QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 SWEEP_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -134,20 +138,35 @@ def _manifest(args, threads: int | None, inputs: dict, **sections) -> dict:
             **sections}
 
 
+def _strict_json(value):
+    """``value`` with each infinite float replaced by the string "inf" or "-inf"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def _write_json(path, payload) -> None:
-    fileio.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    fileio.atomic_write_text(path, text + "\n")
 
 
 def _weight_quantiles(network) -> dict[str, float]:
+    import numpy as np
+
     w = network.edge_weight
     return {f"q{int(q * 100)}": float(np.quantile(w, q)) for q in QUANTILE_POINTS}
 
 
 def _run_build(args, threads: int):
-    proteins, ppi = fileio.load_ppi(args.ppi)
-    matrix = fileio.load_expression(args.ged)
+    from . import builder
     from .expression import quantile_normalize
 
+    proteins, ppi = fileio.load_ppi(args.ppi)
+    matrix = fileio.load_expression(args.ged)
     matrix = quantile_normalize(matrix)
     mapping = fileio.load_mapping(args.mapping) if args.mapping else None
 
@@ -190,7 +209,9 @@ def cmd_build_wppi(args) -> int:
     return 0
 
 
-def _detect_on(network, proteins, config: detector.HubConfig):
+def _detect_on(network, proteins, config):
+    from . import detector
+
     started = time.perf_counter()
     try:
         result = detector.detect(network, config)
@@ -220,6 +241,8 @@ def _detect_on(network, proteins, config: detector.HubConfig):
 
 
 def cmd_detect(args) -> int:
+    from . import detector
+
     config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
     out = Path(args.output)
     proteins, network = fileio.load_wppi(args.wppi)
@@ -261,9 +284,9 @@ def _evaluation_sections(communities, args):
         annotations = fileio.load_annotations(args.annotations)
         trimmed = {}
         for term, members in annotations.terms.items():
-            kept = members & universe
+            kept = members if members <= universe else members & universe
             if kept:
-                trimmed[term] = frozenset(kept)
+                trimmed[term] = kept
         if not trimmed:
             raise UsageError("no annotation covers any protein in the communities")
         annotations = evaluator.AnnotationSet(trimmed)
@@ -333,6 +356,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from . import detector
+
     config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
     threads = resolve_threads(args.threads)
     out = Path(args.output)
@@ -368,6 +393,8 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
 
 
 def cmd_gen_synthetic(args) -> int:
+    from . import synthetic
+
     out = Path(args.output)
     try:
         blocks = [int(b) for b in args.blocks.split(",") if b]

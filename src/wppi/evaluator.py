@@ -4,7 +4,11 @@ Two matching conventions are reported side by side because published tables
 mix them: the squared-overlap score |A∩B|^2 / (|A|·|B|) and the plain
 recall |A∩B| / |B| against the catalogue entry. Enrichment sums the
 hypergeometric upper tail directly from its largest term, which is taken
-from log-binomials; the other terms follow by the term ratio.
+from log-binomials; the other terms follow by the term ratio. The
+log-binomials read one table of log-factorials, lgamma(i + 1), filled on
+first use of each i and shared by every tail of an ``enrich`` call; each is
+lf[n] - lf[k] - lf[n - k], the same three lgamma values in the same order
+as the direct formula, so every p-value is the same to the bit.
 
 Both checks invert their reference sets into a protein -> entries index, so
 a community is scored only against the entries it shares a protein with.
@@ -17,7 +21,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 DEFAULT_MATCH_THRESHOLD = 0.10
@@ -150,8 +156,16 @@ def match_complexes(communities: Mapping[int, Iterable[str]],
     return MatchReport(threshold, matches, matched, len(matches))
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+class _LogFactorials(dict):
+    """lgamma(i + 1) by i, each computed on its first lookup."""
+
+    def __missing__(self, i: int) -> float:
+        value = self[i] = math.lgamma(i + 1)
+        return value
+
+
+def _log_comb(lf: _LogFactorials, n: int, k: int) -> float:
+    return lf[n] - lf[k] - lf[n - k]
 
 
 def hypergeom_pvalue(population: int, community_size: int,
@@ -164,6 +178,11 @@ def hypergeom_pvalue(population: int, community_size: int,
     from it takes each next term from the previous one by the term ratio and
     stops once a term falls below 1e-17 of the running sum.
     """
+    _check_tail(population, community_size, group_size, overlap)
+    return _upper_tail(_LogFactorials(), population, community_size, group_size, overlap)
+
+
+def _check_tail(population: int, community_size: int, group_size: int, overlap: int) -> None:
     if population < 0:
         raise ValueError("population must be >= 0")
     if not 0 <= community_size <= population:
@@ -172,14 +191,18 @@ def hypergeom_pvalue(population: int, community_size: int,
         raise ValueError("group size must satisfy 0 <= size <= population")
     if not 0 <= overlap <= min(community_size, group_size):
         raise ValueError("overlap must satisfy 0 <= overlap <= min(community, group)")
+
+
+def _upper_tail(lf: _LogFactorials, population: int, n: int, K: int, overlap: int) -> float:
+    """``hypergeom_pvalue`` on checked arguments, with log-factorials from ``lf``."""
     if overlap == 0:
         return 1.0
-    n, K, rest = community_size, group_size, population - group_size
+    rest = population - K
     lo = max(overlap, n - rest)
     hi = min(n, K)
     start = min(max((n + 1) * (K + 1) // (population + 2), lo), hi)
-    first = math.exp(_log_comb(K, start) + _log_comb(rest, n - start)
-                     - _log_comb(population, n))
+    first = math.exp(_log_comb(lf, K, start) + _log_comb(lf, rest, n - start)
+                     - _log_comb(lf, population, n))
     total = first
     term = first
     for i in range(start, hi):
@@ -211,17 +234,20 @@ def enrich(communities: Mapping[int, Iterable[str]],
            population: int) -> list[EnrichmentRecord]:
     """Best-enriched annotation term per community, sorted by p-value.
 
-    Only terms that share a protein with the community are scored, and each
+    Only terms that share a protein with the community are scored: a
+    ``Counter`` over the members' terms gives each one's overlap. Each
     distinct (community size, term size, overlap) tail is computed once per
-    call. The best term is the least (p-value, term name), so ties and
-    records are those of a scan over every term. Communities without any
+    call, from one log-factorial table. The best term is the least (p-value,
+    term name), so ties and records are those of a scan over every term. Communities without any
     annotated member are reported under the term ``unannotated`` with
     p = 1.0.
     """
-    terms_of: dict[str, list[str]] = {}
+    terms_of: defaultdict[str, list[str]] = defaultdict(list)
     for term, group in annotations.terms.items():
         for protein in group:
-            terms_of.setdefault(protein, []).append(term)
+            terms_of[protein].append(term)
+    group_sizes = {term: len(group) for term, group in annotations.terms.items()}
+    lf = _LogFactorials()
     tails: dict[tuple[int, int, int], float] = {}
     records: list[EnrichmentRecord] = []
     for cid in sorted(communities):
@@ -229,22 +255,15 @@ def enrich(communities: Mapping[int, Iterable[str]],
         size = len(members)
         if population < size:
             raise ValueError("population smaller than a community")
-        shared: dict[str, int] = {}
-        for protein in members:
-            for term in terms_of.get(protein, ()):
-                shared[term] = shared.get(term, 0) + 1
-        best: tuple[float, str, int, int] | None = None
-        for term, overlap in shared.items():
-            key = (size, len(annotations.terms[term]), overlap)
-            p = tails.get(key)
-            if p is None:
-                p = tails[key] = hypergeom_pvalue(population, *key)
-            if best is None or (p, term) < (best[0], best[1]):
-                best = (p, term, key[1], overlap)
-        if best is None:
+        shared = Counter(chain.from_iterable(terms_of.get(protein, ()) for protein in members))
+        if not shared:
             records.append(EnrichmentRecord(cid, size, "unannotated", 0, 0, 1.0))
-        else:
-            p, term, group_size, overlap = best
-            records.append(EnrichmentRecord(cid, size, term, group_size, overlap, p))
+            continue
+        keys = list(zip(repeat(size), map(group_sizes.__getitem__, shared), shared.values()))
+        for key in set(keys).difference(tails):
+            _check_tail(population, *key)
+            tails[key] = _upper_tail(lf, population, *key)
+        p, term = min(zip(map(tails.__getitem__, keys), shared))
+        records.append(EnrichmentRecord(cid, size, term, group_sizes[term], shared[term], p))
     records.sort(key=lambda r: (r.p_value, r.community_id))
     return records

@@ -1,9 +1,15 @@
 """File formats and atomic report writing.
 
-Every loader reads its file in one ``read`` through ``_lines`` and reports
-malformed content as ``InputError`` carrying the file and line. Expression
-cells go to numpy's parser in one call; where it could differ from float()
-or cannot name the bad line, the rows are read and checked one by one. Writers
+Every loader reads its file in one ``read`` and reports malformed content
+as ``InputError`` carrying the file and line. A two-column file (PPI,
+mapping, catalogue, annotations) whose every line is two non-empty
+tab-separated labels, with no '#' or blank line, is split into its labels
+in one go; any other goes through ``_pairs`` line by line, which names the
+first malformed line, so both routes give the same rows and errors.
+Expression cells go to numpy's parser in one call; where it could differ
+from float() or cannot name the bad line, the rows are read and checked one
+by one. numpy and the array types are imported by the loaders that build
+arrays, so reading only the evaluation inputs never loads numpy. Writers
 stage into a temporary file in the target directory and rename into place,
 so an interrupted run never leaves a partial file.
 """
@@ -15,15 +21,17 @@ import math
 import os
 import re
 import tempfile
-from functools import partial
-from itertools import compress
+from itertools import compress, count
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .evaluator import AnnotationSet, ComplexCatalogue
-from .expression import ExpressionMatrix
-from .model import PpiNetwork, ProteinIndex, WeightedNetwork
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .expression import ExpressionMatrix
+    from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
 WPPI_HEADER = "# wppi v1"
 MISSING_ROW_LIMIT = 0.5
@@ -76,6 +84,45 @@ def _pairs(path, message: str):
         yield line_no, cols
 
 
+_TWO_TABS = re.compile("\t[^\t\n]*\t")
+
+
+def _plain_pair_cells(path) -> list[str] | None:
+    """Labels a0, b0, a1, b1, ... of a plain two-column file; None for any other file.
+
+    A plain file has two non-empty labels and one tab on every line, and no
+    '#' or blank line, so its row i is its line i + 1.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    if text and text[-1] != "\n":
+        text += "\n"
+    # One tab on every line: as many tabs as lines, and never two on one line.
+    if (text.count("\t") != text.count("\n") or _TWO_TABS.search(text)
+            or text.startswith("#") or "\n#" in text):
+        return None
+    text = text.replace("\n", "\t")  # drops the file's text: two copies at most
+    cells = text.split("\t")
+    cells.pop()  # after the last line's '\n'
+    return None if "" in cells else cells
+
+
+def _pair_cells(path, message: str) -> tuple[Sequence[int], list[str]]:
+    """Line numbers of a two-column file's rows, and their labels a0, b0, a1, b1, ...
+
+    Extra columns are ignored; a row without two labels fails with ``message``.
+    """
+    cells = _plain_pair_cells(path)
+    if cells is not None:
+        return range(1, len(cells) // 2 + 1), cells
+    line_nos: list[int] = []
+    cells = []
+    for line_no, cols in _pairs(path, message):
+        line_nos.append(line_no)
+        cells += cols[:2]
+    return line_nos, cells
+
+
 def _parse(path, line_no: int, text: str, message: str, kind=float):
     try:
         return kind(text)
@@ -91,18 +138,24 @@ def _index_pairs(path, labels: list[str]) -> tuple[ProteinIndex, np.ndarray, np.
     label holding ',', the separator of protein lists in the communities
     and catalogue files, fails at the first line that has one.
     """
+    import numpy as np
+
+    from .model import ProteinIndex
+
     if "," in "".join(labels):
         line_no, label = next((n, a) for n, cols in _pairs(path, "") for a in cols[:2] if "," in a)
         _fail(path, line_no, f"protein label {label!r} contains ','")
     proteins = ProteinIndex(labels)
-    idx = np.fromiter(map(proteins.index_of, labels), dtype=np.int64, count=len(labels))
+    index = dict(zip(proteins, count()))
+    idx = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
     return proteins, idx[0::2], idx[1::2]
 
 
 def load_ppi(path) -> tuple[ProteinIndex, PpiNetwork]:
     """Two-column interaction TSV (extra columns ignored, '#' lines skipped)."""
-    labels = [label for _, cols in _pairs(path, "expected two tab-separated protein labels")
-              for label in cols[:2]]
+    from .model import PpiNetwork
+
+    _, labels = _pair_cells(path, "expected two tab-separated protein labels")
     if not labels:
         raise InputError(f"{path}: no interactions found")
     proteins, src, dst = _index_pairs(path, labels)
@@ -115,6 +168,10 @@ def load_expression(path) -> ExpressionMatrix:
     Rows with more than half of their samples missing are dropped, the
     remaining gaps are filled with the row mean; other cells must be finite.
     """
+    import numpy as np
+
+    from .expression import ExpressionMatrix
+
     rows = list(_lines(path))
     if not rows:
         raise InputError(f"{path}: empty expression file")
@@ -144,11 +201,18 @@ def load_expression(path) -> ExpressionMatrix:
 # 'n' of nan and inf); numpy may read '\x1c'-'\x1f' as spaces, and 'x' as hex.
 _NOT_FLOAT_TEXT = "nNxX\x1c\x1d\x1e\x1f"
 _EMPTY_CELL = re.compile(r"(?<![^\t\n])(?![^\t\n])")
-_parse_floats = partial(np.loadtxt, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
+
+
+def _parse_floats(lines):
+    import numpy as np
+
+    return np.loadtxt(lines, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
 
 
 def _bulk_values(rows, expected: int):
     """Gene labels and cells (NaN where empty) by numpy's parser; None where it cannot tell."""
+    import numpy as np
+
     genes, _, cells = zip(*(line.partition("\t") for _, line in rows))
     text = "\n".join(cells)
     if ("" in genes or "" in cells or len(set(genes)) < len(genes)
@@ -168,6 +232,8 @@ def _bulk_values(rows, expected: int):
 
 def _row_values(path, rows, expected: int):
     """Gene labels and cells (NaN where empty), read and checked row by row."""
+    import numpy as np
+
     genes: dict[str, None] = {}  # in order of appearance
     values: list[list[float]] = []
     for line_no, line in rows:
@@ -192,8 +258,9 @@ def _row_values(path, rows, expected: int):
 
 def load_mapping(path) -> dict[str, str]:
     """Protein-to-gene mapping TSV (protein_id, gene_id); a protein maps to one gene."""
+    line_nos, cells = _pair_cells(path, "expected protein_id and gene_id columns")
     mapping: dict[str, str] = {}
-    for line_no, (protein, gene, *_) in _pairs(path, "expected protein_id and gene_id columns"):
+    for line_no, protein, gene in zip(line_nos, cells[0::2], cells[1::2]):
         if mapping.setdefault(protein, gene) != gene:
             _fail(path, line_no, f"protein {protein!r} maps to {mapping[protein]!r} and {gene!r}")
     return mapping
@@ -201,13 +268,18 @@ def load_mapping(path) -> dict[str, str]:
 
 def write_wppi(path, proteins: ProteinIndex, network: WeightedNetwork) -> None:
     """Weighted edges, full float precision so files round-trip bit for bit."""
+    labels = proteins.labels
     lines = [WPPI_HEADER]
-    for i, j, w in network.edges():
-        lines.append(f"{proteins.label_of(i)}\t{proteins.label_of(j)}\t{w!r}")
+    lines += [f"{labels[i]}\t{labels[j]}\t{w!r}" for i, j, w in zip(
+        network.edge_src.tolist(), network.edge_dst.tolist(), network.edge_weight.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
+    import numpy as np
+
+    from .model import WeightedNetwork
+
     message = "expected protein_a, protein_b, weight"
     labels: list[str] = []
     weights: list[float] = []
@@ -227,12 +299,13 @@ def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
 
 def load_catalogue(path) -> ComplexCatalogue:
     """Complex catalogue TSV: name, comma-separated protein labels."""
+    line_nos, cells = _pair_cells(path, "expected complex_name and protein list")
     entries: list[tuple[str, frozenset[str]]] = []
-    for line_no, cols in _pairs(path, "expected complex_name and protein list"):
-        members = frozenset(p for p in cols[1].split(",") if p)
+    for line_no, name, proteins in zip(line_nos, cells[0::2], cells[1::2]):
+        members = frozenset(p for p in proteins.split(",") if p)
         if len(members) < 2:
-            _fail(path, line_no, f"complex {cols[0]!r} needs at least 2 proteins")
-        entries.append((cols[0], members))
+            _fail(path, line_no, f"complex {name!r} needs at least 2 proteins")
+        entries.append((name, members))
     try:
         return ComplexCatalogue(entries)
     except ValueError as exc:
@@ -241,12 +314,19 @@ def load_catalogue(path) -> ComplexCatalogue:
 
 def load_annotations(path) -> AnnotationSet:
     """Annotation TSV: one (protein_label, term_id) pair per line."""
-    terms: dict[str, set[str]] = {}
-    for _, cols in _pairs(path, "expected protein_label and term_id columns"):
-        terms.setdefault(cols[1], set()).add(cols[0])
+    _, cells = _pair_cells(path, "expected protein_label and term_id columns")
+    terms: dict[str, list[str]] = {}
+    for protein, term in zip(cells[0::2], cells[1::2]):
+        members = terms.get(term)
+        if members is None:
+            terms[term] = [protein]
+        else:
+            members.append(protein)
     if not terms:
         raise InputError(f"{path}: no annotations found")
-    return AnnotationSet({t: frozenset(m) for t, m in terms.items()})
+    # Through a set: frozenset() sizes its table to a set it copies, but grows
+    # it row by row from a list, which would leave the sets larger than needed.
+    return AnnotationSet({t: frozenset(set(m)) for t, m in terms.items()})
 
 
 def write_communities(path, rows) -> None:

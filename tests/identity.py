@@ -7,7 +7,8 @@ Runs the ``wppi`` command line (from whatever ``wppi`` is importable) on:
 the ``tests/data`` toy fixture through ``pipeline`` in tsv and json; the
 ``perfbench/gen.py`` ``pipeline-planted`` inputs for seeds 1-3 through
 ``pipeline``; the ``build-and-evaluate`` seed 1 inputs through
-``build-wppi`` and ``evaluate --format json``; and ``detect --wppi`` on that
+``build-wppi``, ``evaluate --format json`` and ``evaluate --annotated-universe``
+(tsv); and ``detect --wppi`` on that
 build's ``wppi.tsv`` at lambda 1, 2 and 3; and ``build-wppi --mapping`` on a
 messy fixture the script writes, whose expression file only the row-by-row
 reader accepts. Everything is written into a temporary directory that is
@@ -120,6 +121,9 @@ def main() -> int:
         _run("bae-evaluate", tmp / "bae-evaluate", "evaluate", "--communities",
              f["communities"], "--catalogue", f["catalogue"], "--annotations",
              f["annotations"], "--format", "json", "--threads", THREADS)
+        _run("bae-evaluate-tsv", tmp / "bae-evaluate-tsv", "evaluate", "--communities",
+             f["communities"], "--catalogue", f["catalogue"], "--annotations",
+             f["annotations"], "--annotated-universe", "--threads", THREADS)
         for lam in ("1", "2", "3"):
             _run(f"bae-detect-{lam}", tmp / f"bae-detect-{lam}", "detect",
                  "--wppi", build / "wppi.tsv", "--lambda", lam)

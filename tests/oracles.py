@@ -498,3 +498,125 @@ def load_expression_loop(path):
         matrix[r, gaps[r]] = matrix[r, ~gaps[r]].mean()
     return ExpressionMatrix(gene_index=gene_index, values=matrix,
                             sample_names=header[1:], dropped_genes=dropped)
+
+
+def _pairs_loop(path, message: str):
+    """(line_no, columns) of each row of a two-column file, read line by line."""
+    from wppi.fileio import InputError
+
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line[0] == "#":
+            continue
+        cols = line.split("\t", 2)
+        if len(cols) < 2 or not cols[0] or not cols[1]:
+            raise InputError(f"{path}:{line_no}: {message}")
+        yield line_no, cols
+
+
+def load_ppi_loop(path):
+    """The PPI loader as it read files before the bulk pair path, line by line.
+
+    It builds the package's ``ProteinIndex`` and ``PpiNetwork`` and raises its
+    ``InputError``, so results and errors compare directly with
+    ``fileio.load_ppi``.
+    """
+    import numpy as np
+
+    from wppi.fileio import InputError
+    from wppi.model import PpiNetwork, ProteinIndex
+
+    labels = [label for _, cols in _pairs_loop(path, "expected two tab-separated protein labels")
+              for label in cols[:2]]
+    if not labels:
+        raise InputError(f"{path}: no interactions found")
+    if "," in "".join(labels):
+        line_no, label = next((n, a) for n, cols in _pairs_loop(path, "")
+                              for a in cols[:2] if "," in a)
+        raise InputError(f"{path}:{line_no}: protein label {label!r} contains ','")
+    proteins = ProteinIndex(labels)
+    idx = np.fromiter(map(proteins.index_of, labels), dtype=np.int64, count=len(labels))
+    return proteins, PpiNetwork(len(proteins), idx[0::2], idx[1::2])
+
+
+def load_annotations_loop(path):
+    """The annotation loader as it read files before the bulk pair path, line by line."""
+    from wppi.evaluator import AnnotationSet
+    from wppi.fileio import InputError
+
+    terms: dict[str, set[str]] = {}
+    for _, cols in _pairs_loop(path, "expected protein_label and term_id columns"):
+        terms.setdefault(cols[1], set()).add(cols[0])
+    if not terms:
+        raise InputError(f"{path}: no annotations found")
+    return AnnotationSet({t: frozenset(m) for t, m in terms.items()})
+
+
+def _log_comb_lgamma(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def hypergeom_pvalue_loop(population, community_size, group_size, overlap) -> float:
+    """The upper tail as ``hypergeom_pvalue`` summed it with lgamma called per binomial."""
+    if overlap == 0:
+        return 1.0
+    n, K, rest = community_size, group_size, population - group_size
+    lo = max(overlap, n - rest)
+    hi = min(n, K)
+    start = min(max((n + 1) * (K + 1) // (population + 2), lo), hi)
+    first = math.exp(_log_comb_lgamma(K, start) + _log_comb_lgamma(rest, n - start)
+                     - _log_comb_lgamma(population, n))
+    total = first
+    term = first
+    for i in range(start, hi):
+        term *= (K - i) * (n - i) / ((i + 1) * (rest - n + i + 1))
+        total += term
+        if term < 1e-17 * total:
+            break
+    term = first
+    for i in range(start, lo, -1):
+        term *= i * (rest - n + i) / ((K - i + 1) * (n - i + 1))
+        total += term
+        if term < 1e-17 * total:
+            break
+    return min(1.0, total)
+
+
+def enrich_loop(communities, annotations, population):
+    """``evaluator.enrich`` as it was before counted overlaps and the log-factorial table:
+    a dict of shared-term counts per community, one ``hypergeom_pvalue_loop`` per
+    distinct key, and a (p, term) tuple comparison per term. Returns the package's
+    ``EnrichmentRecord`` objects."""
+    from wppi.evaluator import EnrichmentRecord
+
+    terms_of: dict[str, list[str]] = {}
+    for term, group in annotations.terms.items():
+        for protein in group:
+            terms_of.setdefault(protein, []).append(term)
+    tails: dict[tuple[int, int, int], float] = {}
+    records = []
+    for cid in sorted(communities):
+        members = set(communities[cid])
+        size = len(members)
+        if population < size:
+            raise ValueError("population smaller than a community")
+        shared: dict[str, int] = {}
+        for protein in members:
+            for term in terms_of.get(protein, ()):
+                shared[term] = shared.get(term, 0) + 1
+        best = None
+        for term, overlap in shared.items():
+            key = (size, len(annotations.terms[term]), overlap)
+            p = tails.get(key)
+            if p is None:
+                p = tails[key] = hypergeom_pvalue_loop(population, *key)
+            if best is None or (p, term) < (best[0], best[1]):
+                best = (p, term, key[1], overlap)
+        if best is None:
+            records.append(EnrichmentRecord(cid, size, "unannotated", 0, 0, 1.0))
+        else:
+            p, term, group_size, overlap = best
+            records.append(EnrichmentRecord(cid, size, term, group_size, overlap, p))
+    records.sort(key=lambda r: (r.p_value, r.community_id))
+    return records

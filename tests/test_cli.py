@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -383,22 +384,22 @@ class TestExitCodes:
         yield ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"])
 
     def test_computation_failure_is_exit_one(self, toy, toy_run, monkeypatch):
-        import wppi.cli as cli_module
+        import wppi.detector
 
         def broken(*args, **kwargs):
             raise RuntimeError("simulated detector crash")
 
-        monkeypatch.setattr(cli_module.detector, "detect", broken)
+        monkeypatch.setattr(wppi.detector, "detect", broken)
         for argv in self.detecting_runs(toy, toy_run):
             assert run(*argv, "--output", toy["out"] / "crash") == 1, argv[0]
 
     def test_detector_value_error_is_exit_one(self, toy, toy_run, monkeypatch, capsys):
-        import wppi.cli as cli_module
+        import wppi.detector
 
         def broken(*args, **kwargs):
             raise ValueError("no internal edges")
 
-        monkeypatch.setattr(cli_module.detector, "detect", broken)
+        monkeypatch.setattr(wppi.detector, "detect", broken)
         for argv in self.detecting_runs(toy, toy_run):
             assert run(*argv, "--output", toy["out"] / "crash") == 1, argv[0]
             assert "computation failed: detect: no internal edges" in capsys.readouterr().err
@@ -424,6 +425,31 @@ class TestExitCodes:
         detection = manifest["detection"]
         assert detection["hub_count"] == manifest["build"]["vertices"]
         assert detection["communities"] == detection["stage1_communities"]
+
+    @pytest.mark.parametrize("report_format", ["tsv", "json"])
+    def test_manifests_are_strict_json_with_infinite_thresholds(self, toy, report_format):
+        import jsonschema
+        from importlib import resources
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        out = toy["out"] / "inf"
+        assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--catalogue", toy["catalogue"], "--annotations", toy["annotations"],
+                   "--lambda", "inf", "--d-alpha", "inf", "--format", report_format,
+                   "--output", out) == 0
+        assert run("detect", "--wppi", out / "wppi.tsv", "--lambda", "inf", "--d-alpha", "inf",
+                   "--output", out / "detect") == 0
+        manifests = sorted(out.rglob("*.json"))
+        assert len(manifests) == 2
+        for path in manifests:
+            manifest = json.loads(path.read_text(), parse_constant=reject)
+            assert manifest["config"]["lambda"] == manifest["config"]["d_alpha"] == "inf"
+            assert manifest["detection"]["hub_threshold"] == "inf"
+        schema = json.loads(resources.files("wppi.schemas")
+                            .joinpath("pipeline_report.schema.json").read_text())
+        jsonschema.validate(json.loads(manifests[-1].read_text()), schema)
 
     def test_comma_in_protein_label_is_input_error(self, toy, capsys):
         ppi = toy["out"] / "ppi.tsv"
@@ -456,6 +482,35 @@ class TestExitCodes:
                    "--annotations", toy["annotations"],
                    "--output", toy["out"] / "timed") == 0
         assert time.perf_counter() - start < 5.0
+
+
+class TestStartup:
+    def test_evaluate_never_imports_numpy(self, toy, toy_run):
+        import subprocess
+        import sys
+
+        argv = ["evaluate", "--communities", str(toy_run / "communities.tsv"),
+                "--catalogue", str(toy["catalogue"]), "--annotations", str(toy["annotations"]),
+                "--output", str(toy["out"] / "e")]
+        script = ("import sys\nfrom wppi import cli\n"
+                  f"assert cli.main({argv!r}) == 0\n"
+                  "assert 'numpy' not in sys.modules, 'evaluate imported numpy'\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert (toy["out"] / "e" / "enrichment.tsv").exists()
+
+    def test_every_exported_name_resolves(self):
+        import wppi
+
+        for name in wppi.__all__:
+            namespace: dict = {}
+            exec(f"from wppi import {name}", namespace)
+            assert namespace[name] is getattr(wppi, name)
+        assert set(wppi.__all__) <= set(dir(wppi))
+        with pytest.raises(AttributeError):
+            wppi.no_such_name  # noqa: B018
 
 
 class TestResolveThreads:

@@ -16,6 +16,8 @@ from wppi.evaluator import (
 
 from .oracles import (
     enrich_direct,
+    enrich_loop,
+    hypergeom_pvalue_loop,
     hypergeom_tail_enumerated,
     hypergeom_tail_exact,
     match_complexes_direct,
@@ -293,3 +295,54 @@ class TestIndexedScoringMatchesAllPairs:
                     tied = [key for key in keys if hypergeom_pvalue(population, *key) == best]
                     seen["key tie"] += len(set(tied)) < len(tied)
         assert all(seen.values()), seen
+
+
+def _enrichment_case(seed: int):
+    """Seeded communities and annotations with repeated groups under other names, terms
+    of equal size, and terms covering the whole population."""
+    rng = random.Random(seed)
+    proteins = [f"p{i}" for i in range(rng.randint(2, 60))]
+    population = len(proteins) + rng.choice([0, 0, rng.randint(1, 40)])
+    communities = {cid: set(rng.sample(proteins, rng.randint(0, min(20, len(proteins)))))
+                   for cid in rng.sample(range(100), rng.randint(1, 12))}
+    terms: dict[str, frozenset[str]] = {}
+    groups: list[frozenset[str]] = []
+    for name in rng.sample(range(1000), rng.randint(0, 40)):
+        roll = rng.random()
+        if groups and roll < 0.3:
+            group = rng.choice(groups)
+        elif roll < 0.35 and population == len(proteins):
+            group = frozenset(proteins)
+        else:
+            group = frozenset(rng.sample(proteins, rng.randint(1, len(proteins))))
+        groups.append(group)
+        terms[f"T{name:03d}"] = group
+    return communities, AnnotationSet(terms), population
+
+
+class TestCountedEnrichmentMatchesTheLoop:
+    def test_records_equal_the_loop_oracle(self):
+        seen = {"key tie": 0, "p = 1": 0, "unannotated": 0}
+        for seed in range(400):
+            communities, annotations, population = _enrichment_case(seed)
+            records = enrich(communities, annotations, population)
+            assert records == enrich_loop(communities, annotations, population), seed
+            for r in records:
+                seen["unannotated"] += r.term == "unannotated"
+                seen["p = 1"] += r.term != "unannotated" and r.p_value == 1.0
+                members = set(communities[r.community_id])
+                seen["key tie"] += sum(
+                    1 for term, group in annotations.terms.items()
+                    if term != r.term and len(group) == r.group_size
+                    and len(members & group) == r.overlap) > 0
+        assert all(seen.values()), seen
+
+    def test_pvalues_equal_the_lgamma_path_bit_for_bit(self):
+        rng = random.Random(11)
+        for _ in range(4000):
+            population = rng.choice([rng.randint(0, 40), rng.randint(0, 3000), 20000])
+            n = rng.randint(0, population)
+            group = rng.choice([rng.randint(0, population), rng.randint(0, min(population, 50))])
+            overlap = rng.randint(0, min(n, group))
+            key = (population, n, group, overlap)
+            assert hypergeom_pvalue(*key).hex() == hypergeom_pvalue_loop(*key).hex(), key

@@ -7,7 +7,7 @@ import pytest
 from wppi import fileio
 from wppi.fileio import InputError
 
-from .oracles import load_expression_loop
+from .oracles import load_annotations_loop, load_expression_loop, load_ppi_loop
 
 
 class TestLoadPpi:
@@ -212,6 +212,75 @@ def test_bulk_reading_equals_the_row_by_row_loop(tmp_path):
     assert kinds == {True, False}
 
 
+def _fuzz_pair_file(rng: random.Random) -> bytes:
+    """A seeded two-column file: plain rows, or rows mixed with the ways a file is not plain."""
+    labels = [f"P{i}" for i in range(rng.randint(1, 9))] + ["Q 1", "#", "x#y"]
+    if rng.random() < 0.1:
+        labels.append("R,S")
+    odd = rng.random() < 0.6
+    lines = ["# pairs"] if odd and rng.random() < 0.3 else []
+    for _ in range(rng.randint(0, 14)):
+        a, b = rng.choice(labels), rng.choice(labels)
+        line = f"{a}\t{b}"
+        roll = rng.random() if odd else 1.0
+        if roll < 0.08:
+            line = rng.choice(["", "# note", "#P1\tP2"])
+        elif roll < 0.14:
+            line += rng.choice(["\tscore=1", "\t", "\t\t", "\tx\ty"])
+        elif roll < 0.17:
+            line = rng.choice([f"\t{b}", f"{a}\t", a, "\t", f"{a},Z\t{b}", f"{a}\t{b},Z"])
+        lines.append(line)
+    if odd and rng.random() < 0.05:
+        lines = ["# only a comment"] * rng.randint(1, 3)
+    if not odd:
+        lines = [line for line in lines if line[0] != "#"]
+    ending = rng.choice(["\n", "\r\n", "\n", "\r"])
+    return (ending.join(lines) + rng.choice([ending, ""])).encode("utf-8")
+
+
+def _pair_outcomes(path):
+    """(ppi loader result, annotation loader result) for the package and the line-by-line
+    oracles; each is the loaded data or the error text."""
+    def ppi(load):
+        try:
+            proteins, net = load(path)
+        except InputError as exc:
+            return "error", str(exc)
+        return proteins.labels, net.edge_src.tolist(), net.edge_dst.tolist()
+
+    def annotations(load):
+        try:
+            terms = load(path).terms
+        except InputError as exc:
+            return "error", str(exc)
+        return list(terms.items())
+
+    return ((ppi(fileio.load_ppi), annotations(fileio.load_annotations)),
+            (ppi(load_ppi_loop), annotations(load_annotations_loop)))
+
+
+def test_bulk_pairs_equal_the_line_by_line_loop(tmp_path, monkeypatch):
+    plain_cells = fileio._plain_pair_cells
+    routes = []
+
+    def spy(path):
+        cells = plain_cells(path)
+        routes.append("bulk" if cells is not None else "line by line")
+        return cells
+
+    monkeypatch.setattr(fileio, "_plain_pair_cells", spy)
+    rng = random.Random(16)
+    errors = 0
+    for case in range(200):
+        path = tmp_path / f"pairs-{case}.tsv"
+        path.write_bytes(_fuzz_pair_file(rng))
+        got, expected = _pair_outcomes(path)
+        assert got == expected, path.read_bytes()
+        errors += expected[0][0] == "error"
+    assert {"bulk", "line by line"} <= set(routes)
+    assert 0 < errors < 200
+
+
 class TestLoadWppi:
     def test_empty_label_rejected(self, tmp_path):
         path = tmp_path / "wppi.tsv"
@@ -248,6 +317,12 @@ class TestLoadMapping:
         with pytest.raises(InputError, match=re.escape(message)):
             fileio.load_mapping(path)
 
+    def test_protein_mapped_to_two_genes_rejected_in_a_plain_file(self, tmp_path):
+        path = tmp_path / "map.tsv"
+        path.write_text("P1\tG1\nP2\tG2\nP1\tG1\nP1\tG2\n")
+        with pytest.raises(InputError, match=re.escape("map.tsv:4: protein 'P1' maps to")):
+            fileio.load_mapping(path)
+
     def test_exact_repeat_allowed(self, tmp_path):
         path = tmp_path / "map.tsv"
         path.write_text("P1\tG1\nP2\tG2\nP1\tG1\n")
@@ -266,6 +341,14 @@ class TestCatalogueAndAnnotations:
         path = tmp_path / "cat.tsv"
         path.write_text("bad\tonly-one\n")
         with pytest.raises(InputError, match="at least 2"):
+            fileio.load_catalogue(path)
+
+    @pytest.mark.parametrize("head", ["", "# complexes\n"], ids=["plain", "commented"])
+    def test_catalogue_singleton_rejected_at_its_line(self, tmp_path, head):
+        path = tmp_path / "cat.tsv"
+        path.write_text(f"{head}good\ta,b\nbad\tonly-one,only-one\n")
+        line = 2 + head.count("\n")
+        with pytest.raises(InputError, match=rf"cat\.tsv:{line}: complex 'bad' needs at least 2"):
             fileio.load_catalogue(path)
 
     def test_annotations_grouped_by_term(self, tmp_path):
