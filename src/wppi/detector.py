@@ -7,6 +7,11 @@ community modularity the most. A move that pulls a vertex out of another
 community is accepted only if the target's gain exceeds the source's loss,
 which makes the total modularity strictly increasing and guarantees
 termination on a partition where no single appendable vertex improves it.
+Like Traag's faster Louvain, which revisits only the nodes whose
+neighbourhood changed ("Faster unfolding of communities", Phys. Rev. E 92,
+032801, 2015), stage 1 rescans a community only where a move can have
+raised a gain: in full after it gained or lost a vertex, otherwise only at
+the candidates whose leave term rose.
 
 Stage 2 compresses stage-1 communities into super-vertices and merges whole
 groups that share a super-edge whenever the union's functional cohesion
@@ -18,6 +23,7 @@ k - 1 merges, and every multi-member group is connected.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -143,8 +149,11 @@ def move_gain(partition: Partition, k: int, v: int) -> float:
 class Stage1Result:
     """Stage-1 partition and work counters.
 
-    ``evaluations`` counts scored candidates, ``moves`` accepted moves, and
-    ``steals`` the moves that took a vertex out of another community.
+    ``evaluations`` counts the candidates scored: a community's whole
+    frontier after it gained or lost a vertex, otherwise only the candidates
+    whose leave term rose since its last visit. ``moves`` counts accepted
+    moves, and ``steals`` the moves that took a vertex out of another
+    community.
     """
 
     partition: Partition
@@ -178,18 +187,25 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     the moved vertex, its weights into the two communities involved in
     ascending-neighbour order as ``Partition.weight_to`` does, and passes the
     moved vertex's ``links`` weights to ``Partition.detach`` and
-    ``Partition.attach``, the sum updates ``Partition.move`` also uses.
+    ``Partition.attach``, the sum updates ``Partition.move`` also uses. When
+    the two communities have fewer members than the neighbour has
+    neighbours, the re-sum walks their ascending member lists instead and
+    finds each member in the neighbour's sorted row by bisection: the same
+    additions in the same order.
 
     A community's frontier, its candidate set, is read off ``links``: the
     non-members u with ``k in links[u]``. It changes only where a ``links``
     entry appears or disappears, that is in the re-sum and for the moved
-    vertex itself. A community is visited only while dirty: a visit that
-    finds no move cleans it, and a move dirties the target, the source and
-    every community listed in ``links[u]`` for a member u of either. Those
-    are the communities whose frontier holds a vertex whose leave term was
-    just recomputed; the sums, the membership and the frontier's leave terms
-    of every other community are unchanged, so its visit would find no move
-    again. ``evaluations`` counts the candidates of the visits made.
+    vertex itself. A candidate's score in k reads k's sums, its weight into
+    k and its own leave term. A move changes the first two only for the
+    target and the source, which are rescanned in full at their next visit,
+    and the leave terms only of their members. A community whose last visit
+    found no move had no candidate with a positive gain, and float addition
+    rounds monotonically, so a candidate whose leave term did not rise still
+    has none. Such a community therefore keeps a ``touched`` set, created on
+    first use, of the candidates whose leave term rose, and its next visit
+    scores those alone; with none it is not visited. ``evaluations`` counts
+    the candidates scored.
     """
     partition = seeds.copy()
     adj, adj_w = network.adjacency_lists()
@@ -199,11 +215,7 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     internal = partition.internal_sum
     external = partition.external_sum
     unassigned = Partition.UNASSIGNED
-
-    def refresh_leave(v: int) -> None:
-        src = assign[v]
-        leave[v] = _leave_term(internal[src], external[src], len(communities[src]),
-                               links[v].get(src, 0.0), degree[v])
+    eps = SATURATION_EPS
 
     links: list[dict[int, float]] = []
     for v in range(network.num_vertices):
@@ -220,11 +232,18 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     for v in range(network.num_vertices):
         own = assign[v]
         if own != unassigned:
-            refresh_leave(v)
+            leave[v] = _leave_term(internal[own], external[own], len(communities[own]),
+                                   links[v].get(own, 0.0), degree[v])
         for c in links[v]:
             if c != own:
                 frontier[c].add(v)
-    dirty = set(communities)
+    ordered = {k: sorted(members) for k, members in communities.items()}
+    dirty = set(communities)  # rescanned in full at the next visit
+    # A clean community's candidates whose leave term rose since its last
+    # visit. Marks go only to clean communities and a full rescan drops the
+    # set, so it stays inside the frontier: leaving it takes a move into or
+    # out of the community, which makes it dirty.
+    touched: dict[int, set[int]] = {}
 
     sweeps = evaluations = moves = steals = 0
     hit_cap = False
@@ -237,23 +256,29 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
         sweeps += 1
         changed = False
         for k in partition.community_ids():
-            if k not in dirty:
+            if k in dirty:
+                dirty.discard(k)
+                touched.pop(k, None)
+                candidates = frontier[k]
+            elif k in touched:
+                candidates = touched.pop(k)
+            else:
                 continue  # clean, or emptied by a steal earlier in this sweep
-            dirty.discard(k)
-            candidates = frontier[k]
             evaluations += len(candidates)
             internal_k = internal[k]
             external_k = external[k]
             before = _q(internal_k, external_k)
             best_v = None
             best_gain = 0.0
-            # Candidates neighbour a member, so links[v] always holds k; the
-            # sum runs in move_gain's order: (after - before) + leave term.
-            # Set order is not index order, so ties go to the lowest index
-            # explicitly.
+            # Candidates neighbour a member, so links[v] always holds k. The
+            # score is move_gain's, _joined_q and _q written out with the
+            # same operations in the same order: (after - before) + leave
+            # term. Set order is not index order, so ties go to the lowest
+            # index explicitly.
             for v in candidates:
-                gain = _joined_q(internal_k, external_k, links[v][k], degree[v]) \
-                    - before + leave[v]
+                w2 = 2.0 * links[v][k]
+                e = external_k + degree[v] - w2
+                gain = (internal_k + w2) / (eps if eps > e else e) - before + leave[v]
                 if gain >= best_gain and (gain > best_gain
                                           or (best_v is not None and v < best_v)):
                     best_v, best_gain = v, gain
@@ -265,32 +290,60 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             src = assign[v]
             if src == unassigned:
                 src = left = None  # the re-sum below then matches no community
+                src_members = ()
             else:
                 steals += 1
                 left = frontier[src]
+                src_members = ordered[src]
+                del src_members[bisect_left(src_members, v)]
                 if partition.detach(v, links[v].get(src, 0.0)):
-                    del frontier[src]
+                    del frontier[src], ordered[src]
                     dirty.discard(src)
+                    touched.pop(src, None)
                 elif src in links[v]:
                     left.add(v)
             partition.attach(v, k, links[v][k])
+            k_members = ordered[k]
+            insort(k_members, v)
+            candidates = frontier[k]
             candidates.discard(v)
+            walk = len(k_members) + len(src_members)
             # Weights into src and k changed for v's neighbours: both entries
             # are summed again from scratch (src may now be absent), and the
             # frontiers follow the entries that appear or disappear (an
-            # emptied src's frontier is already dropped). The sums of src and
-            # k changed for their members, whose leave terms are the only
-            # ones that read them.
+            # emptied src's frontier is already dropped).
             for u in adj[v]:
+                row = adj[u]
+                row_w = adj_w[u]
+                end = len(row)
                 to_k = to_src = 0.0
                 at_src = False
-                for x, w in zip(adj[u], adj_w[u]):
-                    c = assign[x]
-                    if c == k:
-                        to_k += w
-                    elif c == src:
-                        to_src += w
-                        at_src = True
+                if walk < end:
+                    # Each member found in u's ascending row by bisection,
+                    # resuming where the last one was found.
+                    i = 0
+                    for x in k_members:
+                        i = bisect_left(row, x, i)
+                        if i == end:
+                            break
+                        if row[i] == x:
+                            to_k += row_w[i]
+                    i = 0
+                    for x in src_members:
+                        i = bisect_left(row, x, i)
+                        if i == end:
+                            break
+                        if row[i] == x:
+                            to_src += row_w[i]
+                            at_src = True
+                else:
+                    for x, w in zip(row, row_w):
+                        c = assign[x]
+                        if c == k:
+                            to_k += w
+                        elif c == src:
+                            to_src += w
+                            at_src = True
                 weights = links[u]
                 weights[k] = to_k
                 if assign[u] != k:
@@ -299,12 +352,38 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
                     weights[src] = to_src
                 elif weights.pop(src, None) is not None:
                     left.discard(u)
+            # The sums of src and k changed for their members, whose leave
+            # terms (_leave_term written out) are the only ones that read
+            # them. A member whose term rose is marked in the clean
+            # communities it is a candidate of.
+            dirty.add(k)
+            if src in communities:
+                dirty.add(src)
             for c in (k, src):
-                if c in communities:
-                    dirty.add(c)
-                    for u in communities[c]:
-                        refresh_leave(u)
-                        dirty.update(links[u])
+                if c not in communities:
+                    continue
+                members = communities[c]
+                internal_c = internal[c]
+                external_c = external[c]
+                q_old = _q(internal_c, external_c)
+                single = len(members) == 1
+                for u in members:
+                    if single:
+                        q_new = 0.0
+                    else:
+                        w2 = 2.0 * links[u].get(c, 0.0)
+                        e = external_c - (degree[u] - w2)
+                        q_new = (internal_c - w2) / (eps if eps > e else e)
+                    term = q_new - q_old
+                    if term > leave[u]:
+                        for c2 in links[u]:
+                            if c2 not in dirty:
+                                marks = touched.get(c2)
+                                if marks is None:
+                                    touched[c2] = {u}
+                                else:
+                                    marks.add(u)
+                    leave[u] = term
         if not changed:
             break
     seeded = tuple(partition.community_ids())

@@ -1,18 +1,23 @@
-"""Seeded planted-block network for detector scaling runs.
+"""Seeded planted-block networks for detector scaling runs.
 
-Blocks of 20 vertices, each in-block pair an edge with probability 0.4 and
-weight U(0.4, 1), plus about 2n cross-block edges of weight U(0, 0.5) between
-uniformly drawn vertex pairs. At n = 32,000 that is about 185k edges.
+By default, blocks of 20 vertices, each in-block pair an edge with
+probability 0.4 and weight U(0.4, 1), plus about 2n cross-block edges of
+weight U(0, 0.5) between uniformly drawn vertex pairs. At n = 32,000 that is
+about 185k edges. ``--dense`` uses blocks of 100, p_in 0.5 and 10 cross
+pairs per vertex: 277,204 edges at n = 8,000, seed 0.
 
-    python tests/scale_fixture.py 32000 [seed] [lambda]
+    python tests/scale_fixture.py [N [seed [lambda]]] [--dense] [--hub-percentile P]
 
-runs ``detect``'s stages one by one on that network and prints the wall
-time and the process's peak RSS after each stage, with stage 1's sweeps,
-evaluations, moves and steals.
+runs ``detect``'s stages one by one on that network (N defaults to 32,000,
+or 8,000 with ``--dense``) and prints the wall time and the process's peak
+RSS after each stage, with stage 1's sweeps, evaluations, moves and steals.
+Hubs are the vertices above the mean weighted degree, or above its P-th
+percentile with ``--hub-percentile P``.
 """
 
 from __future__ import annotations
 
+import argparse
 import resource
 import sys
 import time
@@ -26,23 +31,26 @@ if __name__ == "__main__":
 from wppi import detector  # noqa: E402
 from wppi.model import WeightedNetwork  # noqa: E402
 
-BLOCK = 20
-P_IN = 0.4
-CROSS_PER_VERTEX = 2
+DENSE = dict(block_size=100, p_in=0.5, cross_per_vertex=10)
 
 
-def scale_network(n: int, seed: int = 0):
-    """(network, block of each vertex) for n vertices; n need not divide by 20."""
+def scale_network(n: int, seed: int = 0, block_size: int = 20, p_in: float = 0.4,
+                  cross_per_vertex: int = 2):
+    """(network, block of each vertex) for n vertices; n need not divide by block_size.
+
+    Cross pairs are drawn uniformly; those inside one block are dropped and
+    repeats kept once.
+    """
     rng = np.random.default_rng(seed)
-    block = np.arange(n, dtype=np.int64) // BLOCK
-    iu, ju = np.triu_indices(BLOCK, 1)
-    starts = np.arange(0, n, BLOCK, dtype=np.int64)[:, None]
+    block = np.arange(n, dtype=np.int64) // block_size
+    iu, ju = np.triu_indices(block_size, 1)
+    starts = np.arange(0, n, block_size, dtype=np.int64)[:, None]
     src = (starts + iu).ravel()
     dst = (starts + ju).ravel()
-    inside = (dst < n) & (rng.random(src.size) < P_IN)
+    inside = (dst < n) & (rng.random(src.size) < p_in)
     src, dst = src[inside], dst[inside]
 
-    pairs = rng.integers(0, n, size=(CROSS_PER_VERTEX * n, 2), dtype=np.int64)
+    pairs = rng.integers(0, n, size=(cross_per_vertex * n, 2), dtype=np.int64)
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     keep = block[lo] != block[hi]
     key = np.unique(lo[keep] * n + hi[keep])
@@ -55,22 +63,35 @@ def scale_network(n: int, seed: int = 0):
 
 
 def _main(argv: list[str]) -> int:
-    n = int(argv[0]) if argv else 32_000
-    seed = int(argv[1]) if len(argv) > 1 else 0
-    lam = float(argv[2]) if len(argv) > 2 else detector.HubConfig().cohesion_threshold
+    parser = argparse.ArgumentParser(description="Time detect's stages on a planted network.")
+    parser.add_argument("n", type=int, nargs="?")
+    parser.add_argument("seed", type=int, nargs="?", default=0)
+    parser.add_argument("lam", type=float, nargs="?",
+                        default=detector.HubConfig().cohesion_threshold)
+    parser.add_argument("--dense", action="store_true",
+                        help="blocks of 100, p_in 0.5, 10 cross pairs per vertex")
+    parser.add_argument("--hub-percentile", type=float, metavar="P",
+                        help="seed above this percentile of weighted degree")
+    args = parser.parse_args(argv)
+    shape = DENSE if args.dense else {}
+    n = args.n if args.n is not None else 8_000 if args.dense else 32_000
+    seed, lam = args.seed, args.lam
 
     def report(stage: str, seconds: float, detail: str = "") -> None:
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(f"{stage:<10} {seconds:8.3f} s  peak RSS {rss:7.1f} MB  {detail}", flush=True)
 
     start = time.perf_counter()
-    network, _ = scale_network(n, seed)
+    network, _ = scale_network(n, seed, **shape)
     report("generate", time.perf_counter() - start,
            f"n={network.num_vertices} edges={network.edge_count} seed={seed}")
     total = time.perf_counter()
     start = time.perf_counter()
-    config = detector.HubConfig(
-        hub_threshold=detector.mean_weighted_degree(network), cohesion_threshold=lam)
+    if args.hub_percentile is None:
+        threshold = detector.mean_weighted_degree(network)
+    else:
+        threshold = float(np.percentile(network.degrees, args.hub_percentile))
+    config = detector.HubConfig(hub_threshold=threshold, cohesion_threshold=lam)
     seeds = detector.select_hubs(network, config)
     report("hubs", time.perf_counter() - start, f"hubs={len(seeds.communities)}")
     start = time.perf_counter()

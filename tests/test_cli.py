@@ -154,7 +154,7 @@ class TestDetectCommand:
     def test_stage1_counters_pinned(self, toy_run):
         detection = json.loads((toy_run / "pipeline_manifest.json").read_text())["detection"]
         assert (detection["stage1_evaluations"], detection["stage1_moves"],
-                detection["stage1_steals"], detection["stage1_sweeps"]) == (165, 21, 11, 5)
+                detection["stage1_steals"], detection["stage1_sweeps"]) == (134, 21, 11, 5)
 
     def test_rerun_is_byte_identical(self, toy):
         for name in ("r1", "r2"):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from wppi.model import Partition, WeightedNetwork
 from wppi.synthetic import planted_partition
 
 from .conftest import random_network
-from .scale_fixture import scale_network
+from .scale_fixture import DENSE, _main as scale_fixture_main, scale_network
 from .oracles import (
     cohesion_direct,
     cohesion_pair_walk,
@@ -198,15 +200,16 @@ LAMBDAS = (1.0, 1.5, 2.0, 3.0)
 class TestStage1MatchesReference:
     """The cached scorer reproduces the from-scratch stage 1 exactly.
 
-    Only ``evaluations`` may differ: stage 1 skips the visits of communities
-    whose inputs have not changed since a visit that found no move, which
-    the reference makes and scores.
+    Only ``evaluations`` may differ: after a visit that found no move, stage
+    1 scores only the candidates whose leave term has since risen, and
+    skips the visit when there are none, where the reference scores every
+    candidate on every visit.
     """
 
     @staticmethod
-    def assert_same(net):
-        seeds = select_hubs(net)
-        result = stage1_agglomerate(net, seeds)
+    def assert_same(net, config=None):
+        seeds = select_hubs(net, config)
+        result = stage1_agglomerate(net, seeds, config)
         part, seeded, promoted, sweeps, evaluations, moves, steals = stage1_reference(seeds)
         assert result.partition.assignment == part.assignment
         assert result.partition.internal_sum == part.internal_sum
@@ -250,6 +253,18 @@ class TestStage1MatchesReference:
             edges = [(i, j, float(rng.choice([0.1, 0.2])))
                      for i in range(50) for j in range(i + 1, 50) if rng.random() < 0.12]
             self.assert_same(WeightedNetwork(50, edges))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_blocks_seeded_at_a_high_percentile(self, seed):
+        # Six seeds grow over dense blocks: frontiers span much of the graph,
+        # steals are frequent, a clean community's visits score only its
+        # touched candidates (150-240 such visits per seed), and the re-sums
+        # mostly walk the member lists.
+        net, _ = scale_network(300, seed, block_size=50, p_in=0.5, cross_per_vertex=6)
+        config = HubConfig(hub_threshold=float(np.percentile(net.degrees, 97)))
+        result, evaluations = self.assert_same(net, config)
+        assert len(result.seeded_ids) < 10 and result.steals > 0
+        assert result.evaluations < evaluations
 
 
 class TestCompress:
@@ -480,14 +495,37 @@ class TestScaleFixture:
         assert net.edge_weight[inside].min() >= 0.4
         assert net.edge_weight[~inside].max() <= 0.5
 
+    def test_default_network_pinned(self):
+        # The 32k timings and counters in the README compare across changes
+        # only while the default network stays the same.
+        net, _ = scale_network(32_000, 0)
+        digest = hashlib.sha256(b"".join(
+            a.tobytes() for a in (net.edge_src, net.edge_dst, net.edge_weight))).hexdigest()
+        assert (net.edge_count, digest) == (
+            185_575, "c132f7906400403f17862fe293b9c5b49b9030f8821a01b1cf54987091e3cc7d")
+
+    def test_dense_preset(self):
+        net, block = scale_network(8_000, 0, **DENSE)
+        assert net.edge_count == 277_204 and block[-1] == 79
+        inside = block[net.edge_src] == block[net.edge_dst]
+        assert net.edge_weight[inside].min() >= 0.4
+        assert net.edge_weight[~inside].max() <= 0.5
+
+    def test_script_seeds_at_a_percentile(self, capsys):
+        assert scale_fixture_main(["400", "1", "--dense", "--hub-percentile", "95"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        net, _ = scale_network(400, 1, **DENSE)
+        hubs = int(np.count_nonzero(net.degrees > np.percentile(net.degrees, 95)))
+        assert f"edges={net.edge_count} " in lines[0] and f"hubs={hubs}" in lines[1]
+
     def test_small_instance_matches_both_references(self):
         net, _ = scale_network(600, seed=1)
         result, evaluations = TestStage1MatchesReference.assert_same(net)
         assert result.evaluations < evaluations
         assert TestStage2MatchesReference.assert_same(compress(net, result.partition)) > 0
 
-    @pytest.mark.parametrize("seed, counters", [(1, (15, 130_782, 2_413, 1_391)),
-                                                (2, (22, 200_367, 2_595, 1_565))])
+    @pytest.mark.parametrize("seed, counters", [(1, (15, 70_727, 2_413, 1_391)),
+                                                (2, (22, 78_671, 2_595, 1_565))])
     def test_stage1_counters_pinned(self, seed, counters):
         # The reference check above bounds evaluations only from above, so a
         # frontier that loses a candidate without changing the partition
