@@ -9,7 +9,6 @@ disconnecting the network.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
 GLOBAL_DEFAULT_WEIGHT = 0.5
 _FOLD_BLOCK = 1024
-_KERNEL_BLOCK = 1024  # matched edges per task: the gathered rows stay in cache
+_KERNEL_BLOCK = 1024  # matched edges correlated per block: the gathered rows stay in cache
 
 
 @dataclass
@@ -57,9 +56,9 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
     The edge set of the result equals the edge set of the input exactly.
     ``default_weight`` overrides the computed fallback; ``zero_as_unmatched``
     additionally applies the fallback to matched edges whose correlation is
-    exactly zero. ``threads`` workers correlate the matched edges in blocks;
-    each edge's correlation depends only on its own two rows, so the result
-    does not depend on the thread count.
+    exactly zero. The build is serial; ``threads`` is ignored and kept only
+    because the benchmark's traced run (``perfbench/traced.py``) and the
+    tests pass it.
     """
     if ppi.edge_count == 0:
         raise ValueError("empty network")
@@ -71,13 +70,9 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
     z, zero_var = standardize_rows(matrix.values)
 
     abs_corr = np.empty(matched_idx.size)
-
-    def kernel(start: int) -> None:
+    for start in range(0, matched_idx.size, _KERNEL_BLOCK):
         idx = matched_idx[start:start + _KERNEL_BLOCK]
         abs_corr[start:start + idx.size] = np.abs(row_correlations(z, row_i[idx], row_j[idx]))
-
-    with ThreadPoolExecutor(max_workers=threads) as executor:
-        list(executor.map(kernel, range(0, matched_idx.size, _KERNEL_BLOCK)))
 
     zero_variance_edges = int(np.sum(zero_var[row_i[matched_idx]] | zero_var[row_j[matched_idx]]))
 

@@ -31,7 +31,7 @@ class UsageError(ValueError):
 
 
 def resolve_threads(requested: int | None) -> int:
-    """Thread count from the request, or all cores."""
+    """``--threads`` as recorded: the request, or the core count; no command starts a thread."""
     if requested is None:
         return os.cpu_count() or 1
     if requested < 1:
@@ -44,7 +44,7 @@ def _add_common(parser: argparse.ArgumentParser, *, threads: bool = False,
     parser.add_argument("--output", required=True, help="output directory")
     if threads:
         parser.add_argument("--threads", type=int, default=None,
-                            help="worker threads (default: all cores)")
+                            help="recorded only; every step is serial (default: core count)")
     if report_format:
         parser.add_argument("--format", choices=("tsv", "json"), default="tsv",
                             help="report format")
@@ -128,12 +128,10 @@ def _inputs(args, *names: str) -> dict:
             for name, path in paths.items() if path}
 
 
-def _manifest(args, threads: int | None, inputs: dict, **sections) -> dict:
+def _manifest(args, inputs: dict, **sections) -> dict:
     """Manifest with every parsed flag as config (``--lambda`` under ``lambda``)."""
     config = {"lambda" if name == "cohesion" else name: value
               for name, value in vars(args).items()}
-    if threads is not None:
-        config["threads"] = threads
     return {"tool": "wppi", "version": __version__, "config": config, "inputs": inputs,
             **sections}
 
@@ -161,7 +159,7 @@ def _weight_quantiles(network) -> dict[str, float]:
     return {f"q{int(q * 100)}": float(np.quantile(w, q)) for q in QUANTILE_POINTS}
 
 
-def _run_build(args, threads: int):
+def _run_build(args):
     from . import builder
     from .expression import quantile_normalize
 
@@ -175,7 +173,6 @@ def _run_build(args, threads: int):
         proteins, ppi, matrix, mapping,
         default_weight=args.default_weight,
         zero_as_unmatched=args.zero_as_unmatched,
-        threads=threads,
     )
     elapsed = time.perf_counter() - started
     summary = {
@@ -195,12 +192,11 @@ def _run_build(args, threads: int):
 
 
 def cmd_build_wppi(args) -> int:
-    threads = resolve_threads(args.threads)
     out = Path(args.output)
-    proteins, result, summary = _run_build(args, threads)
+    proteins, result, summary = _run_build(args)
     fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
     _write_json(out / "build_manifest.json",
-                _manifest(args, threads, _inputs(args, "ppi", "ged", "mapping"), build=summary))
+                _manifest(args, _inputs(args, "ppi", "ged", "mapping"), build=summary))
     print(f"vertices: {summary['vertices']}")
     print(f"edges: {summary['edges']}")
     print(f"matching ratio: {summary['matching_ratio_percent']:.2f}%")
@@ -250,7 +246,7 @@ def cmd_detect(args) -> int:
     rows, summary = _detect_on(network, proteins, config)
     fileio.write_communities(out / "communities.tsv", rows)
     _write_json(out / "detect_manifest.json",
-                _manifest(args, None, inputs, detection=summary))
+                _manifest(args, inputs, detection=summary))
     print(f"communities: {summary['communities']}")
     print(f"stage-1 sweeps: {summary['stage1_sweeps']}, "
           f"stage-2 passes: {summary['stage2_passes']}")
@@ -330,14 +326,14 @@ def _write_evaluation_tsv(out: Path, sections: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    threads = resolve_threads(args.threads)
+    evaluator.check_match_threshold(args.threshold)  # validate before any work
     out = Path(args.output)
     if not args.catalogue and not args.annotations:
         raise UsageError("evaluate needs --catalogue and/or --annotations")
     communities = fileio.load_communities(args.communities)
     inputs = _inputs(args, "communities", "catalogue", "annotations")
     sections = _evaluation_sections(communities, args)
-    manifest = _manifest(args, threads, inputs, evaluation=sections)
+    manifest = _manifest(args, inputs, evaluation=sections)
     if args.format == "json":
         _write_json(out / "evaluation.json", manifest)
     else:
@@ -359,9 +355,9 @@ def cmd_pipeline(args) -> int:
     from . import detector
 
     config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
-    threads = resolve_threads(args.threads)
+    evaluator.check_match_threshold(args.threshold)
     out = Path(args.output)
-    proteins, result, build_summary = _run_build(args, threads)
+    proteins, result, build_summary = _run_build(args)
     inputs = _inputs(args, "ppi", "ged", "mapping", "catalogue", "annotations")
     if not args.no_intermediates:
         fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
@@ -373,7 +369,7 @@ def cmd_pipeline(args) -> int:
         sections = _evaluation_sections(rows, args)
         if args.format == "tsv":
             _write_evaluation_tsv(out, sections)
-    report = _manifest(args, threads, inputs, build=build_summary,
+    report = _manifest(args, inputs, build=build_summary,
                        detection=detect_summary, evaluation=sections)
     name = "pipeline_report.json" if args.format == "json" else "pipeline_manifest.json"
     _write_json(out / name, report)
@@ -395,6 +391,8 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
 def cmd_gen_synthetic(args) -> int:
     from . import synthetic
 
+    if args.samples != 0 and args.samples < 2:
+        raise UsageError("--samples must be 0 or at least 2")
     out = Path(args.output)
     try:
         blocks = [int(b) for b in args.blocks.split(",") if b]
@@ -417,7 +415,7 @@ def cmd_gen_synthetic(args) -> int:
     truth_lines = [f"{b}\t{','.join(labels[v] for v in block)}"
                    for b, block in enumerate(syn.blocks)]
     fileio.atomic_write_text(out / "truth.tsv", "\n".join(truth_lines) + "\n")
-    if args.samples >= 2:
+    if args.samples:
         names, values = synthetic.block_expression(syn, args.samples, seed=args.seed)
         header = "gene_id\t" + "\t".join(f"S{k + 1}" for k in range(args.samples))
         lines = [header]
@@ -442,6 +440,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "threads"):
+            args.threads = resolve_threads(args.threads)  # recorded only
         return _COMMANDS[args.command](args)
     except (UsageError, fileio.InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,6 +105,12 @@ class MatchReport:
     total: int
 
 
+def check_match_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless ``threshold`` lies in (0, 1]; NaN fails both tests."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must lie in (0, 1]")
+
+
 def match_complexes(communities: Mapping[int, Iterable[str]],
                     catalogue: ComplexCatalogue,
                     threshold: float = DEFAULT_MATCH_THRESHOLD) -> MatchReport:
@@ -116,8 +122,7 @@ def match_complexes(communities: Mapping[int, Iterable[str]],
     reported against the first entry with score 0, as an all-pairs scan
     would report it.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
+    check_match_threshold(threshold)
     matches: list[ComplexMatch] = []
     entries = catalogue.entries
     if not entries:

@@ -152,11 +152,10 @@ class WeightedNetwork:
         adj_dst = np.concatenate([self.edge_src, self.edge_dst])
         adj_w = np.concatenate([self.edge_weight, self.edge_weight])
         order = np.argsort(adj_src, kind="stable")
-        self._adj_src = adj_src[order]
         self._adj_dst = adj_dst[order]
         self._adj_w = adj_w[order]
         self._indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        counts = np.bincount(self._adj_src, minlength=num_vertices)
+        counts = np.bincount(adj_src, minlength=num_vertices)
         np.cumsum(counts, out=self._indptr[1:])
         self._degrees = np.zeros(num_vertices, dtype=np.float64)
         nonempty = counts > 0

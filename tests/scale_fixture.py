@@ -11,6 +11,8 @@ pairs per vertex: 277,204 edges at n = 8,000, seed 0.
 runs ``detect``'s stages one by one on that network (N defaults to 32,000,
 or 8,000 with ``--dense``) and prints the wall time and the process's peak
 RSS after each stage, with stage 1's sweeps, evaluations, moves and steals.
+The last row times ``detect`` whole, in a worker process that builds the
+same network, so its peak RSS is that of the network and ``detect`` alone.
 Hubs are the vertices above the mean weighted degree, or above its P-th
 percentile with ``--hub-percentile P``.
 """
@@ -18,6 +20,7 @@ percentile with ``--hub-percentile P``.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import resource
 import sys
 import time
@@ -62,6 +65,29 @@ def scale_network(n: int, seed: int = 0, block_size: int = 20, p_in: float = 0.4
     return network, block
 
 
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _hub_config(network: WeightedNetwork, percentile: float | None,
+                lam: float) -> detector.HubConfig:
+    if percentile is None:
+        threshold = detector.mean_weighted_degree(network)
+    else:
+        threshold = float(np.percentile(network.degrees, percentile))
+    return detector.HubConfig(hub_threshold=threshold, cohesion_threshold=lam)
+
+
+def _detect_alone(n: int, seed: int, shape: dict, percentile: float | None,
+                  lam: float) -> tuple[float, float, int]:
+    """(seconds, peak RSS in MB, communities) of ``detect`` on a freshly built network."""
+    network, _ = scale_network(n, seed, **shape)
+    config = _hub_config(network, percentile, lam)
+    start = time.perf_counter()
+    result = detector.detect(network, config)
+    return time.perf_counter() - start, _peak_rss_mb(), len(result.communities)
+
+
 def _main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Time detect's stages on a planted network.")
     parser.add_argument("n", type=int, nargs="?")
@@ -77,21 +103,21 @@ def _main(argv: list[str]) -> int:
     n = args.n if args.n is not None else 8_000 if args.dense else 32_000
     seed, lam = args.seed, args.lam
 
-    def report(stage: str, seconds: float, detail: str = "") -> None:
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    def report(stage: str, seconds: float, detail: str = "", rss: float | None = None) -> None:
+        rss = _peak_rss_mb() if rss is None else rss
         print(f"{stage:<10} {seconds:8.3f} s  peak RSS {rss:7.1f} MB  {detail}", flush=True)
 
+    # ru_maxrss is a high-water mark that a child inherits across fork and exec,
+    # so the detect worker starts and finishes while this process is still small.
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        detect_row = pool.apply(_detect_alone, (n, seed, shape, args.hub_percentile, lam))
     start = time.perf_counter()
     network, _ = scale_network(n, seed, **shape)
     report("generate", time.perf_counter() - start,
            f"n={network.num_vertices} edges={network.edge_count} seed={seed}")
     total = time.perf_counter()
     start = time.perf_counter()
-    if args.hub_percentile is None:
-        threshold = detector.mean_weighted_degree(network)
-    else:
-        threshold = float(np.percentile(network.degrees, args.hub_percentile))
-    config = detector.HubConfig(hub_threshold=threshold, cohesion_threshold=lam)
+    config = _hub_config(network, args.hub_percentile, lam)
     seeds = detector.select_hubs(network, config)
     report("hubs", time.perf_counter() - start, f"hubs={len(seeds.communities)}")
     start = time.perf_counter()
@@ -108,9 +134,8 @@ def _main(argv: list[str]) -> int:
     report("stage 2", time.perf_counter() - start,
            f"lambda={lam} passes={stage2.passes} groups={len(stage2.groups)}")
     report("stages", time.perf_counter() - total)
-    start = time.perf_counter()
-    result = detector.detect(network, config)
-    report("detect", time.perf_counter() - start, f"communities={len(result.communities)}")
+    seconds, rss, communities = detect_row
+    report("detect", seconds, f"communities={communities}", rss)
     return 0
 
 

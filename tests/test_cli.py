@@ -375,6 +375,12 @@ class TestGenSynthetic:
         assert run("gen-synthetic", "--output", tmp_path / "s", flag, value) == 2
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("samples", ["1", "-3"])
+    def test_sample_count_of_one_or_less_is_usage_error(self, tmp_path, capsys, samples):
+        assert run("gen-synthetic", "--output", tmp_path / "s", "--samples", samples) == 2
+        assert "--samples must be 0 or at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestExitCodes:
     @staticmethod
@@ -414,6 +420,17 @@ class TestExitCodes:
         for argv in self.detecting_runs(toy, toy_run):
             assert run(*argv, flag, "nan", "--output", out) == 2, argv[0]
             assert "threshold must be" in capsys.readouterr().err
+            assert not out.exists(), argv[0]
+
+    @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
+    def test_bad_match_threshold_is_usage_error_before_any_output(self, toy, toy_run, capsys,
+                                                                   value):
+        out = toy["out"] / "bad"
+        for argv in [("evaluate", "--communities", toy_run / "communities.tsv"),
+                     ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"])]:
+            assert run(*argv, "--catalogue", toy["catalogue"], "--threshold", value,
+                       "--output", out) == 2, argv[0]
+            assert "threshold must lie in (0, 1]" in capsys.readouterr().err
             assert not out.exists(), argv[0]
 
     def test_infinite_thresholds_are_valid(self, toy):
@@ -500,6 +517,26 @@ class TestStartup:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert (toy["out"] / "e" / "enrichment.tsv").exists()
+
+    def test_no_command_starts_a_thread(self, toy):
+        import subprocess
+        import sys
+
+        runs = [["build-wppi", "--ppi", str(toy["ppi"]), "--ged", str(toy["ged"]),
+                 "--threads", "4", "--output", str(toy["out"] / "b")],
+                ["pipeline", "--ppi", str(toy["ppi"]), "--ged", str(toy["ged"]),
+                 "--catalogue", str(toy["catalogue"]), "--annotations", str(toy["annotations"]),
+                 "--threads", "4", "--output", str(toy["out"] / "p")]]
+        script = ("import sys, threading\nfrom wppi import cli\n"
+                  "def refuse(self):\n    raise AssertionError('a thread was started')\n"
+                  "threading.Thread.start = refuse\n"
+                  f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv[0]\n"
+                  "assert 'concurrent.futures' not in sys.modules\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert (toy["out"] / "p" / "communities.tsv").exists()
 
     def test_every_exported_name_resolves(self):
         import wppi
