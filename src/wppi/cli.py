@@ -148,15 +148,33 @@ def _strict_json(value):
 
 
 def _write_json(path, payload) -> None:
-    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # an infinite number, written as a string; NaN raises again
+        text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
     fileio.atomic_write_text(path, text + "\n")
 
 
 def _weight_quantiles(network) -> dict[str, float]:
+    """``np.quantile(w, q)`` for each of QUANTILE_POINTS, to the bit, without its import of
+    ``numpy.ma``: the linear rule, (n - 1)·q between order statistics, interpolated
+    from the nearer one as numpy's ``_lerp`` does."""
     import numpy as np
 
-    w = network.edge_weight
-    return {f"q{int(q * 100)}": float(np.quantile(w, q)) for q in QUANTILE_POINTS}
+    w = np.sort(network.edge_weight)
+    last = w.size - 1
+    quantiles = {}
+    for q in QUANTILE_POINTS:
+        at = last * q
+        below = math.floor(at)
+        if at >= last:
+            value = float(w[last])
+        else:
+            a, b = float(w[below]), float(w[below + 1])
+            t = at - below
+            value = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+        quantiles[f"q{int(q * 100)}"] = value
+    return quantiles
 
 
 def _run_build(args):
@@ -277,22 +295,15 @@ def _evaluation_sections(communities, args):
             "threshold_sweep": sweep,
         }
     if args.annotations:
-        annotations = fileio.load_annotations(args.annotations)
-        trimmed = {}
-        for term, members in annotations.terms.items():
-            kept = members if members <= universe else members & universe
-            if kept:
-                trimmed[term] = kept
-        if not trimmed:
+        terms_of, term_sizes = fileio.load_term_index(args.annotations, universe)
+        if not terms_of:
             raise UsageError("no annotation covers any protein in the communities")
-        annotations = evaluator.AnnotationSet(trimmed)
         population = len(universe)
         if args.annotated_universe:
             # one universe: the population and each community count annotated proteins only
-            covered = annotations.annotated_proteins()
-            member_sets = {cid: members & covered for cid, members in member_sets.items()}
-            population = len(covered)
-        records = evaluator.enrich(member_sets, annotations, population)
+            member_sets = {cid: members & terms_of.keys() for cid, members in member_sets.items()}
+            population = len(terms_of)
+        records = evaluator.enrich_index(member_sets, terms_of, term_sizes, population)
         sections["enrichment"] = {
             "population": population,
             "annotated_universe": args.annotated_universe,

@@ -15,15 +15,20 @@ a community is scored only against the entries it shares a protein with.
 An all-pairs scan never picks any other entry, except that a community
 sharing no protein with any complex is reported against the first catalogue
 entry at score 0; that case is kept, so ties and outputs are unchanged.
+Enrichment takes that index ready-made from ``fileio.load_term_index``, or
+builds it from an ``AnnotationSet``, and computes tails only for the Pareto
+front of each community's (term size, overlap) keys (see ``enrich_index``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import lt
 from typing import Iterable, Mapping
 
 DEFAULT_MATCH_THRESHOLD = 0.10
@@ -58,12 +63,6 @@ class AnnotationSet:
         for term, members in self.terms.items():
             if not members:
                 raise ValueError(f"annotation term {term!r} has no proteins")
-
-    def annotated_proteins(self) -> frozenset[str]:
-        out: set[str] = set()
-        for members in self.terms.values():
-            out |= members
-        return frozenset(out)
 
 
 def overlap_score(pc: Iterable[str], kc: Iterable[str]) -> float:
@@ -234,41 +233,87 @@ class EnrichmentRecord:
     p_value: float
 
 
+def _least_tail(cache: dict[tuple[int, int], float], keys, lf: _LogFactorials,
+                population: int, size: int) -> float:
+    """The least tail over (term size, overlap) ``keys``, computing those not in ``cache``."""
+    for key in set(keys).difference(cache):
+        cache[key] = _upper_tail(lf, population, size, *key)
+    return min(map(cache.__getitem__, keys))
+
+
 def enrich(communities: Mapping[int, Iterable[str]],
            annotations: AnnotationSet,
            population: int) -> list[EnrichmentRecord]:
     """Best-enriched annotation term per community, sorted by p-value.
 
-    Only terms that share a protein with the community are scored: a
-    ``Counter`` over the members' terms gives each one's overlap. Each
-    distinct (community size, term size, overlap) tail is computed once per
-    call, from one log-factorial table. The best term is the least (p-value,
-    term name), so ties and records are those of a scan over every term. Communities without any
-    annotated member are reported under the term ``unannotated`` with
-    p = 1.0.
+    Inverts ``annotations`` into the protein -> terms index that
+    ``fileio.load_term_index`` reads from a file, and scores it with
+    ``enrich_index``.
     """
     terms_of: defaultdict[str, list[str]] = defaultdict(list)
     for term, group in annotations.terms.items():
         for protein in group:
             terms_of[protein].append(term)
-    group_sizes = {term: len(group) for term, group in annotations.terms.items()}
+    term_sizes = {term: len(group) for term, group in annotations.terms.items()}
+    return enrich_index(communities, terms_of, term_sizes, population)
+
+
+def enrich_index(communities: Mapping[int, Iterable[str]],
+                 terms_of: Mapping[str, Iterable[str]],
+                 term_sizes: Mapping[str, int],
+                 population: int) -> list[EnrichmentRecord]:
+    """``enrich`` on an index: each protein's distinct terms, and each term's size.
+
+    Only terms that share a protein with the community are scored: a
+    ``Counter`` over the members' terms gives each one's overlap, and so a
+    (term size, overlap) key. The tail grows with the term size and falls
+    with the overlap, so the least p lies on the Pareto front of the keys:
+    for each term size the largest overlap, kept only where it exceeds the
+    overlap of every smaller size. Tails are computed for the front alone,
+    each distinct (community size, term size, overlap) once per call, from
+    one log-factorial table. The best term is the least name among the terms
+    whose key has the least p, so ties and records are those of a scan over
+    every term. That holds while the computed tails keep the true order of
+    the keys, which fails only on the plateaus: near 0, where subnormal
+    tails lose their bits, and near 1, where neighbouring keys closer than
+    the rounding error of the log-binomials tie or swap (seen up to
+    1 - 7e-8). So when the front's least p is below the smallest normal
+    float, or at least 1/2, every key is scored, as without the front; in
+    between, a seeded search in the tests finds the order kept. Communities
+    without any annotated member are reported under the term
+    ``unannotated`` with p = 1.0.
+    """
     lf = _LogFactorials()
-    tails: dict[tuple[int, int, int], float] = {}
+    tails: dict[int, dict[tuple[int, int], float]] = {}  # size -> (term size, overlap) -> p
     records: list[EnrichmentRecord] = []
     for cid in sorted(communities):
         members = set(communities[cid])
         size = len(members)
         if population < size:
             raise ValueError("population smaller than a community")
-        shared = Counter(chain.from_iterable(terms_of.get(protein, ()) for protein in members))
+        shared = Counter(chain.from_iterable(map(terms_of.get, members, repeat(()))))
         if not shared:
             records.append(EnrichmentRecord(cid, size, "unannotated", 0, 0, 1.0))
             continue
-        keys = list(zip(repeat(size), map(group_sizes.__getitem__, shared), shared.values()))
-        for key in set(keys).difference(tails):
-            _check_tail(population, *key)
-            tails[key] = _upper_tail(lf, population, *key)
-        p, term = min(zip(map(tails.__getitem__, keys), shared))
-        records.append(EnrichmentRecord(cid, size, term, group_sizes[term], shared[term], p))
+        sizes = list(map(term_sizes.__getitem__, shared))
+        overlaps = list(shared.values())
+        _check_tail(population, size, max(sizes), 1)  # then every key is in range
+        # The least term size has overlap >= 1, so it dominates every other term
+        # shared once: the front is read off it and the terms shared more often.
+        many = list(map(lt, repeat(1), overlaps))
+        candidates = [(min(sizes), 1), *zip(compress(sizes, many), compress(overlaps, many))]
+        front: list[tuple[int, int]] = []
+        for key in dict(sorted(candidates)).items():  # the largest overlap of each size
+            if not front or key[1] > front[-1][1]:
+                front.append(key)
+        cache = tails.setdefault(size, {})
+        scored = front
+        p = _least_tail(cache, scored, lf, population, size)
+        if not sys.float_info.min <= p < 0.5:  # a plateau: score every key
+            scored = set(zip(sizes, overlaps))
+            p = _least_tail(cache, scored, lf, population, size)
+        best = {key for key in scored if cache[key] == p}
+        term = min(compress(shared, map(best.__contains__, zip(sizes, overlaps))))
+        records.append(EnrichmentRecord(cid, size, term, term_sizes[term], shared[term], p))
     records.sort(key=lambda r: (r.p_value, r.community_id))
     return records

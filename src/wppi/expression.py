@@ -52,22 +52,26 @@ def quantile_normalize_values(values: np.ndarray) -> np.ndarray:
     n, m = v.shape
     # Any sort order will do: the members of a tie run all get the same value.
     order = np.argsort(v.T, axis=1)
-    ranked = np.take_along_axis(v.T, order, axis=1)
-    # Row means of the (n, m) C-contiguous layout sum as np.sort(v, axis=0).mean(axis=1).
-    rank_means = np.ascontiguousarray(ranked.T).mean(axis=1)
+    # Column k's cells in ascending order, as flat positions in v's C order.
+    order *= m
+    order += np.arange(m)[:, None]
+    # Row r holds the r-th order statistic of every column, so the row means
+    # sum as np.sort(v, axis=0).mean(axis=1).
+    ranked = np.ascontiguousarray(v).ravel().take(order.T)
+    rank_means = ranked.mean(axis=1)
     # A run of equal neighbours over ranks [i, j] of a sorted column gets
     # rank_means[i:j + 1].mean(), for all runs of one length at once.
-    tied = np.pad(ranked[:, 1:] == ranked[:, :-1], ((0, 0), (1, 1)))
+    tied = np.pad((ranked[1:] == ranked[:-1]).T, ((0, 0), (1, 1)))
     del ranked
     starts, ends = np.flatnonzero(np.diff(tied, axis=1)).reshape(-1, 2).T
     lengths = ends - starts + 1
     by_rank = np.tile(rank_means, m)
-    for length in np.unique(lengths).tolist():
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         cells = starts[lengths == length, None] + np.arange(length)
         by_rank[cells] = rank_means[cells % n].mean(axis=1, keepdims=True)
-    out = np.empty_like(v)
-    np.put_along_axis(out.T, order, by_rank.reshape(m, n), axis=1)
-    return out
+    out = np.empty(n * m)
+    out[order] = by_rank.reshape(m, n)
+    return out.reshape(n, m)
 
 
 def quantile_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:

@@ -5,7 +5,10 @@ as ``InputError`` carrying the file and line. A two-column file (PPI,
 mapping, catalogue, annotations) whose every line is two non-empty
 tab-separated labels, with no '#' or blank line, is split into its labels
 in one go; any other goes through ``_pairs`` line by line, which names the
-first malformed line, so both routes give the same rows and errors.
+first malformed line, so both routes give the same rows and errors. For
+evaluation the annotation file is read once into what enrichment reads,
+each protein's terms and each term's size within the communities' universe
+(``load_term_index``); ``load_annotations`` keeps the full term sets.
 Expression cells go to numpy's parser in one call; where it could differ
 from float() or cannot name the bad line, the rows are read and checked one
 by one. numpy and the array types are imported by the loaders that build
@@ -21,7 +24,8 @@ import math
 import os
 import re
 import tempfile
-from itertools import compress, count
+from collections import Counter, deque
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -84,7 +88,7 @@ def _pairs(path, message: str):
         yield line_no, cols
 
 
-_TWO_TABS = re.compile("\t[^\t\n]*\t")
+_NOT_A_SEPARATOR = bytes(sorted(set(range(256)) - set(b"\t\n")))
 
 
 def _plain_pair_cells(path) -> list[str] | None:
@@ -97,14 +101,17 @@ def _plain_pair_cells(path) -> list[str] | None:
         text = handle.read()
     if text and text[-1] != "\n":
         text += "\n"
-    # One tab on every line: as many tabs as lines, and never two on one line.
-    if (text.count("\t") != text.count("\n") or _TWO_TABS.search(text)
-            or text.startswith("#") or "\n#" in text):
+    # One tab on every line: stripped of all else, the text is tab, newline, tab,
+    # newline, ... (UTF-8 multibyte characters hold neither byte). No label is
+    # empty: no tab starts or ends a line.
+    separators = text.encode().translate(None, _NOT_A_SEPARATOR)
+    if (separators != b"\t\n" * (len(separators) // 2) or text.startswith(("#", "\t"))
+            or "\n#" in text or "\n\t" in text or "\t\n" in text):
         return None
     text = text.replace("\n", "\t")  # drops the file's text: two copies at most
     cells = text.split("\t")
     cells.pop()  # after the last line's '\n'
-    return None if "" in cells else cells
+    return cells
 
 
 def _pair_cells(path, message: str) -> tuple[Sequence[int], list[str]]:
@@ -206,7 +213,9 @@ _EMPTY_CELL = re.compile(r"(?<![^\t\n])(?![^\t\n])")
 def _parse_floats(lines):
     import numpy as np
 
-    return np.loadtxt(lines, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
+    # With the row count given, numpy sizes its array once instead of growing it.
+    return np.loadtxt(lines, delimiter="\t", comments=None, dtype=np.float64, ndmin=2,
+                      max_rows=len(lines))
 
 
 def _bulk_values(rows, expected: int):
@@ -268,11 +277,14 @@ def load_mapping(path) -> dict[str, str]:
 
 def write_wppi(path, proteins: ProteinIndex, network: WeightedNetwork) -> None:
     """Weighted edges, full float precision so files round-trip bit for bit."""
-    labels = proteins.labels
-    lines = [WPPI_HEADER]
-    lines += [f"{labels[i]}\t{labels[j]}\t{w!r}" for i, j, w in zip(
-        network.edge_src.tolist(), network.edge_dst.tolist(), network.edge_weight.tolist())]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    import numpy as np
+
+    # Cells are looked up and rows joined at C speed, with no per-row format.
+    labels = np.array(proteins.labels, dtype=object)
+    rows = map("\t".join, zip(labels[network.edge_src].tolist(),
+                              labels[network.edge_dst].tolist(),
+                              map(repr, network.edge_weight.tolist())))
+    atomic_write_text(path, "\n".join(chain([WPPI_HEADER], rows, [""])))
 
 
 def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
@@ -327,6 +339,29 @@ def load_annotations(path) -> AnnotationSet:
     # Through a set: frozenset() sizes its table to a set it copies, but grows
     # it row by row from a list, which would leave the sets larger than needed.
     return AnnotationSet({t: frozenset(set(m)) for t, m in terms.items()})
+
+
+def load_term_index(path, universe) -> tuple[dict[str, dict[str, None]], Counter[str]]:
+    """The annotation TSV as enrichment reads it, restricted to the proteins in ``universe``.
+
+    Returns each annotated protein of ``universe`` with its distinct terms,
+    and each term's number of such proteins. Every row is read and checked,
+    as by ``load_annotations``; a repeated (protein, term) row counts once.
+    """
+    # The terms of each protein are dict keys, not a set: a dict of strings is
+    # never tracked by the cyclic GC, so no collection walks the index. The
+    # dicts are made before the file is split, so none walks the cells either.
+    terms_of: dict[str, dict[str, None]] = {protein: {} for protein in universe}
+    _, cells = _pair_cells(path, "expected protein_label and term_id columns")
+    if not cells:
+        raise InputError(f"{path}: no annotations found")
+    # Each row adds its term to its protein's at C speed; the terms of a protein
+    # outside the universe go to a dict that is dropped.
+    outside: dict[str, None] = {}
+    deque(map(dict.setdefault, map(terms_of.get, cells[0::2], repeat(outside)), cells[1::2]),
+          maxlen=0)
+    terms_of = {protein: terms for protein, terms in terms_of.items() if terms}
+    return terms_of, Counter(chain.from_iterable(terms_of.values()))
 
 
 def write_communities(path, rows) -> None:

@@ -1,15 +1,16 @@
 """Core graph model: interned protein identifiers, interaction networks, partitions.
 
-Networks are immutable once constructed and safe to share across threads.
-Both network types hold their edges as canonical index arrays (i < j,
-sorted lexicographically), put in that order by one function,
-``_canonical``.
+Networks do not change once constructed; a weighted network builds its
+adjacency on first use. Both network types hold their edges as canonical
+index arrays (i < j, sorted lexicographically), put in that order by one
+function, ``_canonical``.
 A Partition is mutated only by a single writer (the detector); it keeps
 per-community weight sums incrementally so modularity queries are O(1).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,6 +42,19 @@ class ProteinIndex:
         return self._labels[index]
 
 
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of non-negative int64 values.
+
+    Where each value and its position fit one int64 together, the positions
+    come from one sort of value * 2**b + position: its keys are distinct, so
+    the fast unstable sort orders them as the stable one orders the values.
+    """
+    bits = max(values.size - 1, 1).bit_length()
+    if values.size and int(values.max()) >> (62 - bits) == 0:
+        return np.sort(values << bits | np.arange(values.size)) & ((1 << bits) - 1)
+    return np.argsort(values, kind="stable")
+
+
 def _canonical(num_vertices: int, src: np.ndarray,
                dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable sort of undirected edges by the key ``lo * n + hi``.
@@ -58,7 +72,7 @@ def _canonical(num_vertices: int, src: np.ndarray,
     key = lo * np.int64(num_vertices) + hi
     if bool(np.all(key[1:] > key[:-1])):
         return key, np.arange(key.size), np.zeros(key.size, dtype=bool)
-    order = np.argsort(key, kind="stable")
+    order = _stable_argsort(key)
     key = key[order]
     repeat = np.zeros(key.size, dtype=bool)
     repeat[1:] = key[1:] == key[:-1]
@@ -95,8 +109,8 @@ class WeightedNetwork:
     """Undirected network whose edges carry co-expression weights in [0, 1].
 
     Edges are held in canonical order (i < j, sorted lexicographically) with
-    a CSR-style adjacency sorted by neighbor index, so per-vertex sums are
-    reproducible bit for bit.
+    a CSR-style adjacency sorted by neighbor index, built on first use, so
+    per-vertex sums are reproducible bit for bit.
     """
 
     def __init__(self, num_vertices: int, weighted_edges: Iterable[tuple[int, int, float]]):
@@ -144,24 +158,28 @@ class WeightedNetwork:
         self.edge_weight = wgt
         self.edge_count = int(key.size)
 
-        # CSR adjacency over both directions, neighbors ascending per vertex.
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSR adjacency over both directions, neighbours ascending per vertex, and the
+        weighted degrees: (indptr, neighbours, weights, degrees). Built on first use, so
+        a network that is only written out (``build-wppi``) never sorts it."""
         # Listing the reversed edges first, a stable sort by source alone
         # suffices: a vertex's lower neighbours, ascending, come from the
         # reversed half, and its higher ones, ascending, follow.
         adj_src = np.concatenate([self.edge_dst, self.edge_src])
         adj_dst = np.concatenate([self.edge_src, self.edge_dst])
         adj_w = np.concatenate([self.edge_weight, self.edge_weight])
-        order = np.argsort(adj_src, kind="stable")
-        self._adj_dst = adj_dst[order]
-        self._adj_w = adj_w[order]
-        self._indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        counts = np.bincount(adj_src, minlength=num_vertices)
-        np.cumsum(counts, out=self._indptr[1:])
-        self._degrees = np.zeros(num_vertices, dtype=np.float64)
+        order = _stable_argsort(adj_src)
+        adj_dst = adj_dst[order]
+        adj_w = adj_w[order]
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        counts = np.bincount(adj_src, minlength=self.num_vertices)
+        np.cumsum(counts, out=indptr[1:])
+        degrees = np.zeros(self.num_vertices, dtype=np.float64)
         nonempty = counts > 0
         if np.any(nonempty):
-            starts = self._indptr[:-1][nonempty]
-            self._degrees[nonempty] = np.add.reduceat(self._adj_w, starts)
+            degrees[nonempty] = np.add.reduceat(adj_w, indptr[:-1][nonempty])
+        return indptr, adj_dst, adj_w, degrees
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Edges as (i, j, weight) with i < j, sorted lexicographically."""
@@ -170,23 +188,25 @@ class WeightedNetwork:
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor indices, weights), ascending by neighbor."""
-        s, e = self._indptr[v], self._indptr[v + 1]
-        return self._adj_dst[s:e], self._adj_w[s:e]
+        indptr, dst, wgt, _ = self._adjacency
+        s, e = indptr[v], indptr[v + 1]
+        return dst[s:e], wgt[s:e]
 
     def adjacency_lists(self) -> tuple[list[list[int]], list[list[float]]]:
         """Per-vertex (neighbor, weight) Python lists, ascending by neighbor."""
-        bounds = self._indptr.tolist()
-        dst = self._adj_dst.tolist()
-        wgt = self._adj_w.tolist()
+        indptr, dst, wgt, _ = self._adjacency
+        bounds = indptr.tolist()
+        dst = dst.tolist()
+        wgt = wgt.tolist()
         spans = list(zip(bounds, bounds[1:]))
         return [dst[s:e] for s, e in spans], [wgt[s:e] for s, e in spans]
 
     def weighted_degree(self, v: int) -> float:
-        return float(self._degrees[v])
+        return float(self._adjacency[3][v])
 
     @property
     def degrees(self) -> np.ndarray:
-        return self._degrees
+        return self._adjacency[3]
 
 
 class Partition:

@@ -620,3 +620,25 @@ def enrich_loop(communities, annotations, population):
             records.append(EnrichmentRecord(cid, size, term, group_size, overlap, p))
     records.sort(key=lambda r: (r.p_value, r.community_id))
     return records
+
+
+def enrichment_route_loop(member_sets, path, annotated_universe):
+    """The ``evaluate --annotations`` route as it ran before the one-pass term index:
+    ``load_annotations_loop``, each term trimmed to the communities' universe, the
+    annotated universe as the union of the trimmed terms, then ``enrich_loop``.
+    Returns (population, records); a file that covers no protein of the communities
+    raises ``ValueError`` with the message the command prints."""
+    from wppi.evaluator import AnnotationSet
+
+    universe = set().union(*member_sets.values())
+    annotations = load_annotations_loop(path)
+    trimmed = {term: members & universe for term, members in annotations.terms.items()
+               if members & universe}
+    if not trimmed:
+        raise ValueError("no annotation covers any protein in the communities")
+    population = len(universe)
+    if annotated_universe:
+        covered = set().union(*trimmed.values())
+        member_sets = {cid: members & covered for cid, members in member_sets.items()}
+        population = len(covered)
+    return population, enrich_loop(member_sets, AnnotationSet(trimmed), population)

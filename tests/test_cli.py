@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,88 @@ class TestEvaluateCommand:
         assert block["population"] == 2
         assert {(r["community_id"], r["community_size"], r["overlap"])
                 for r in block["records"]} == {(0, 1, 1), (1, 1, 1)}
+
+    @staticmethod
+    def _route_case(rng, path):
+        """Seeded communities and annotation file for ``evaluate``; returns the member sets.
+
+        Annotations name proteins outside every community, one protein is in two
+        communities, some (protein, term) rows repeat, and every other file has '#'
+        and blank lines, so both the bulk and the line-by-line pair reader run."""
+        inside = [f"P{i}" for i in range(rng.randint(2, 30))]
+        outside = [f"X{i}" for i in range(rng.randint(1, 6))]
+        rng.shuffle(inside)
+        communities, start = {}, 0
+        for cid in rng.sample(range(100), len(inside)):
+            if start == len(inside):
+                break
+            stop = min(len(inside), start + rng.randint(1, 6))
+            communities[cid] = inside[start:stop]
+            start = stop
+        twice = rng.choice(inside)
+        communities[100] = [twice, *rng.sample([p for p in inside if p != twice],
+                                               min(rng.randint(0, 4), len(inside) - 1))]
+        rows = [(protein, f"T{t:02d}") for t in range(rng.randint(1, 25))
+                for protein in rng.sample(inside + outside, rng.randint(1, 3))]
+        rows += rng.sample(rows, rng.randint(1, len(rows)))
+        rng.shuffle(rows)
+        lines = [f"{protein}\t{term}" for protein, term in rows]
+        if rng.random() < 0.5:
+            for extra in ("# annotations", "", "#T99\tP0", ""):
+                lines.insert(rng.randint(0, len(lines)), extra)
+        (path / "annotations.tsv").write_text("\n".join(lines) + "\n")
+        (path / "communities.tsv").write_text("".join(
+            f"{cid}\t{','.join(members)}\tNA\tNA\n" for cid, members in communities.items()))
+        return {cid: set(members) for cid, members in communities.items()}
+
+    def test_enrichment_equals_the_old_route(self, tmp_path, monkeypatch):
+        from wppi import fileio
+
+        from .oracles import enrichment_route_loop
+
+        plain_cells = fileio._plain_pair_cells
+        routes = set()
+
+        def spy(path):
+            cells = plain_cells(path)
+            routes.add(cells is not None)
+            return cells
+
+        monkeypatch.setattr(fileio, "_plain_pair_cells", spy)
+        rng = random.Random(22)
+        for case in range(40):
+            member_sets = self._route_case(rng, tmp_path)
+            for universe in ([], ["--annotated-universe"]):
+                out = tmp_path / f"ev{case}{len(universe)}"
+                assert run("evaluate", "--communities", tmp_path / "communities.tsv",
+                           "--annotations", tmp_path / "annotations.tsv", *universe,
+                           "--format", "json", "--output", out) == 0
+                block = json.loads((out / "evaluation.json").read_text())["evaluation"]["enrichment"]
+                population, records = enrichment_route_loop(
+                    member_sets, tmp_path / "annotations.tsv", bool(universe))
+                assert block["population"] == population, case
+                assert block["records"] == [vars(r) for r in records], case
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("text, message", [
+        ("# no rows\n\n", "annotations.tsv: no annotations found"),
+        ("X1\tT:1\n# P1\tT:2\nX2\tT:2\n", "no annotation covers any protein in the communities"),
+    ], ids=["empty file", "no coverage"])
+    def test_annotation_errors_keep_exit_two_and_message(self, tmp_path, capsys, text, message):
+        from .oracles import enrichment_route_loop
+
+        (tmp_path / "communities.tsv").write_text("0\tP1,P2\tNA\tNA\n1\tP3\tNA\tNA\n")
+        (tmp_path / "annotations.tsv").write_text(text)
+        with pytest.raises(ValueError) as old:  # fileio.InputError is a ValueError
+            enrichment_route_loop({0: {"P1", "P2"}, 1: {"P3"}}, tmp_path / "annotations.tsv",
+                                  False)
+        assert str(old.value).endswith(message)
+        for universe in ([], ["--annotated-universe"]):
+            assert run("evaluate", "--communities", tmp_path / "communities.tsv",
+                       "--annotations", tmp_path / "annotations.tsv", *universe,
+                       "--output", tmp_path / "ev") == 2
+            assert capsys.readouterr().err == f"error: {old.value}\n"
+        assert not (tmp_path / "ev").exists()
 
     def test_duplicate_community_id_is_input_error(self, toy, toy_run, capsys):
         communities = toy["out"] / "dup.tsv"
@@ -538,6 +621,25 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert (toy["out"] / "p" / "communities.tsv").exists()
 
+    def test_build_and_pipeline_never_import_numpy_ma(self, toy):
+        import subprocess
+        import sys
+
+        runs = [["build-wppi", "--ppi", str(toy["ppi"]), "--ged", str(toy["ged"]),
+                 "--output", str(toy["out"] / "b")],
+                ["pipeline", "--ppi", str(toy["ppi"]), "--ged", str(toy["ged"]),
+                 "--catalogue", str(toy["catalogue"]), "--annotations", str(toy["annotations"]),
+                 "--output", str(toy["out"] / "p")]]
+        script = ("import sys\nfrom wppi import cli\n"
+                  f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv[0]\n"
+                  "assert 'numpy' in sys.modules\n"
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert (toy["out"] / "p" / "enrichment.tsv").exists()
+
     def test_every_exported_name_resolves(self):
         import wppi
 
@@ -548,6 +650,27 @@ class TestStartup:
         assert set(wppi.__all__) <= set(dir(wppi))
         with pytest.raises(AttributeError):
             wppi.no_such_name  # noqa: B018
+
+
+class TestWeightQuantiles:
+    def test_equal_np_quantile_bit_for_bit(self):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from wppi.cli import QUANTILE_POINTS, _weight_quantiles
+
+        rng = np.random.default_rng(21)
+        arrays = [np.array([0.3]), np.array([0.7, 0.2]), np.array([0.5, 0.5]),
+                  np.full(7, 0.1), np.array([0.0, 1.0, 0.0, 1.0, 0.5])]
+        for n in (1, 2, 3, 4, 5, 6, 9, 100, 1001, 4096):
+            arrays += [rng.random(n), rng.random(n) ** 20, rng.integers(0, 3, n) / 3.0,
+                       np.full(n, rng.random())]
+        for w in arrays:
+            got = _weight_quantiles(SimpleNamespace(edge_weight=w))
+            expected = {f"q{int(q * 100)}": float(np.quantile(w, q)) for q in QUANTILE_POINTS}
+            assert list(got) == list(expected)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in expected.values()], w
 
 
 class TestResolveThreads:

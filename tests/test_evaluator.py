@@ -337,6 +337,100 @@ class TestCountedEnrichmentMatchesTheLoop:
                     and len(members & group) == r.overlap) > 0
         assert all(seen.values()), seen
 
+    @staticmethod
+    def _two_terms(population, size, front, dominated, front_name="B", dominated_name="A"):
+        """One community of ``size`` proteins and two terms, keyed (term size, overlap) by
+        ``front`` and ``dominated``; the outsiders of each term are labels of their own."""
+        members = [f"c{i}" for i in range(size)]
+        terms = {}
+        for name, (group, overlap) in ((front_name, front), (dominated_name, dominated)):
+            outsiders = [f"{name}{i}" for i in range(group - overlap)]
+            terms[name] = frozenset(members[:overlap] + outsiders)
+        return {0: set(members)}, AnnotationSet(terms), population
+
+    @pytest.mark.parametrize("case, p", [
+        # p = 1.0: both tails round up to the clamp, and the dominated term's name is less.
+        ((51, 20, (31, 1), (32, 1)), 1.0),
+        # p = 0.0: both tails underflow.
+        ((20000, 600, (600, 600), (601, 600)), 0.0),
+        # Near 1 the computed tails swap: the dominated key's reads lower by 2e-11.
+        ((18091, 52, (7607, 4), (7608, 4)), 0.9999999957710756),
+    ], ids=["clamped to 1", "underflow to 0", "swapped near 1"])
+    def test_plateaus_score_every_key(self, case, p):
+        communities, annotations, population = self._two_terms(*case)
+        [record] = enrich(communities, annotations, population)
+        assert [record] == enrich_loop(communities, annotations, population)
+        assert (record.term, record.p_value) == ("A", p)
+
+    def test_terms_sharing_the_best_key_report_the_least_name(self):
+        members = {f"c{i}" for i in range(6)}
+        group = frozenset(sorted(members)[:4] + ["x1"])
+        terms = {"T3": group, "T1": group, "T2": frozenset(group | {"x2"}), "T4": group}
+        annotations = AnnotationSet(terms)
+        [record] = enrich({0: members}, annotations, 40)
+        assert [record] == enrich_loop({0: members}, annotations, 40)
+        assert (record.term, record.group_size, record.overlap) == ("T1", 5, 4)
+
+    def test_term_larger_than_population_raises_though_dominated(self):
+        terms = {"small": frozenset({"a", "b"}), "huge": frozenset("abcdefgh")}
+        with pytest.raises(ValueError, match="group size"):
+            enrich({0: {"a", "b"}}, AnnotationSet(terms), population=5)
+
+    def test_tails_are_computed_for_the_front_only(self, monkeypatch):
+        from wppi import evaluator
+
+        rng = random.Random(5)
+        proteins = [f"p{i:04d}" for i in range(3000)]
+        communities = {cid: set(rng.sample(proteins, rng.randint(3, 60))) for cid in range(120)}
+        terms = {f"T{t:04d}": frozenset(rng.sample(proteins, rng.randint(1, 300)))
+                 for t in range(1500)}
+        annotations = AnnotationSet(terms)
+        calls = []
+        tail = evaluator._upper_tail
+        monkeypatch.setattr(evaluator, "_upper_tail", lambda *args: calls.append(args[1:])
+                            or tail(*args))
+        records = enrich(communities, annotations, len(proteins))
+        assert len(calls) == len(set(calls)) == 787
+        keys = {(len(m), len(g), len(m & g)) for m in communities.values()
+                for g in terms.values() if m & g}
+        assert len(keys) == 40062  # the tails a scan over every key computes
+        monkeypatch.undo()
+        assert records == enrich_loop(communities, annotations, len(proteins))
+
+    def test_tails_keep_the_dominance_order_off_the_plateaus(self):
+        """A seeded search for the front's exactness: where a key's computed tail is a
+        normal float below 1/2, growing its term size or shrinking its overlap gives a
+        strictly larger computed tail. The keys reach 20,000 proteins, and the search
+        aims at both plateaus as well as at random overlaps."""
+        import sys
+
+        from wppi.evaluator import _LogFactorials, _upper_tail
+
+        lf = _LogFactorials()
+        rng = random.Random(23)
+        near = {"zero": 0, "half": 0}
+        for _ in range(20000):
+            population = rng.choice([rng.randint(2, 3000), rng.randint(2, 20000)])
+            n = rng.choice([rng.randint(1, min(population, 100)), rng.randint(1, population)])
+            group = rng.choice([rng.randint(1, min(population, 600)), rng.randint(1, population)])
+            mean = n * group / population
+            spread = math.sqrt(max(mean * (1 - group / population), 1.0))
+            overlap = rng.choice([rng.randint(1, min(n, group)),
+                                  round(mean + spread * rng.uniform(-1, 2)),
+                                  round(mean + spread * rng.uniform(5, 60))])
+            if not 1 <= overlap <= min(n, group):
+                continue
+            p = _upper_tail(lf, population, n, group, overlap)
+            if not sys.float_info.min <= p < 0.5:
+                continue
+            near["zero"] += p < 1e-200
+            near["half"] += p > 0.25
+            for bigger, fewer in ((group + 1, overlap), (group, overlap - 1)):
+                if bigger <= population and fewer >= 1:
+                    assert _upper_tail(lf, population, n, bigger, fewer) > p, \
+                        (population, n, group, overlap)
+        assert min(near.values()) > 100, near
+
     def test_pvalues_equal_the_lgamma_path_bit_for_bit(self):
         rng = random.Random(11)
         for _ in range(4000):

@@ -214,7 +214,7 @@ def test_bulk_reading_equals_the_row_by_row_loop(tmp_path):
 
 def _fuzz_pair_file(rng: random.Random) -> bytes:
     """A seeded two-column file: plain rows, or rows mixed with the ways a file is not plain."""
-    labels = [f"P{i}" for i in range(rng.randint(1, 9))] + ["Q 1", "#", "x#y"]
+    labels = [f"P{i}" for i in range(rng.randint(1, 9))] + ["Q 1", "#", "x#y", "Ωé\u3000"]
     if rng.random() < 0.1:
         labels.append("R,S")
     odd = rng.random() < 0.6

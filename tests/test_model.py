@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wppi.model import Partition, PpiNetwork, ProteinIndex, WeightedNetwork
+from wppi.model import Partition, PpiNetwork, ProteinIndex, WeightedNetwork, _stable_argsort
 
 from .conftest import random_network
 
@@ -122,6 +122,16 @@ class TestWeightedNetwork:
         with pytest.raises(ValueError, match="conflicting duplicate"):
             WeightedNetwork.from_arrays(3, np.array([0, 0, 1]), np.array([1, 1, 2]),
                                         np.array([0.2, 0.3, 0.4]))
+
+
+def test_stable_argsort_equals_numpys_on_both_routes():
+    rng = np.random.default_rng(8)
+    arrays = [np.empty(0, dtype=np.int64), np.array([5]), np.zeros(9, dtype=np.int64)]
+    for size in (2, 3, 100, 5000):
+        for high in (2, 50, 1 << 40, 1 << 62, np.iinfo(np.int64).max):
+            arrays.append(rng.integers(0, high, size, dtype=np.int64))
+    for values in arrays:  # the largest values take numpy's merge sort
+        assert np.array_equal(_stable_argsort(values), np.argsort(values, kind="stable"))
 
 
 class TestPartitionCache:
