@@ -51,6 +51,8 @@ def _add_common(parser: argparse.ArgumentParser, *, threads: bool = False,
 
 
 def _add_build_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ppi", required=True, help="interaction TSV")
+    parser.add_argument("--ged", required=True, help="gene expression TSV")
     parser.add_argument("--mapping", help="protein-to-gene mapping TSV")
     parser.add_argument("--default-weight", type=float, default=None,
                         help="fixed weight for unmatched edges (default: mean of matched)")
@@ -65,6 +67,15 @@ def _add_detect_flags(parser: argparse.ArgumentParser) -> None:
                         help="functional-cohesion threshold (default: 2.0)")
 
 
+def _add_evaluate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--catalogue", help="known-complex catalogue TSV")
+    parser.add_argument("--annotations", help="protein annotation TSV")
+    parser.add_argument("--threshold", type=float, default=evaluator.DEFAULT_MATCH_THRESHOLD,
+                        help="overlap-score match threshold")
+    parser.add_argument("--annotated-universe", action="store_true",
+                        help="enrich over annotated proteins only (population and communities)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wppi",
@@ -74,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-wppi", help="weight a PPI network by gene co-expression")
-    p.add_argument("--ppi", required=True, help="interaction TSV")
-    p.add_argument("--ged", required=True, help="gene expression TSV")
     _add_build_flags(p)
     _add_common(p, threads=True)
 
@@ -86,25 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score detected communities")
     p.add_argument("--communities", required=True, help="communities TSV from detect")
-    p.add_argument("--catalogue", help="known-complex catalogue TSV")
-    p.add_argument("--annotations", help="protein annotation TSV")
-    p.add_argument("--threshold", type=float, default=evaluator.DEFAULT_MATCH_THRESHOLD,
-                   help="overlap-score match threshold")
-    p.add_argument("--annotated-universe", action="store_true",
-                   help="enrich over annotated proteins only (population and communities)")
+    _add_evaluate_flags(p)
     _add_common(p, threads=True, report_format=True)
 
     p = sub.add_parser("pipeline", help="build, detect, and evaluate in one run")
-    p.add_argument("--ppi", required=True)
-    p.add_argument("--ged", required=True)
-    p.add_argument("--catalogue")
-    p.add_argument("--annotations")
-    p.add_argument("--threshold", type=float, default=evaluator.DEFAULT_MATCH_THRESHOLD)
-    p.add_argument("--annotated-universe", action="store_true")
-    p.add_argument("--no-intermediates", action="store_true",
-                   help="skip writing the intermediate weighted network")
     _add_build_flags(p)
     _add_detect_flags(p)
+    _add_evaluate_flags(p)
+    p.add_argument("--no-intermediates", action="store_true",
+                   help="skip writing the intermediate weighted network")
     _add_common(p, threads=True, report_format=True)
 
     p = sub.add_parser("gen-synthetic", help="generate a seeded planted-partition fixture")
@@ -206,13 +205,13 @@ def _run_build(args):
         "weight_quantiles": _weight_quantiles(result.network),
         "build_seconds": round(elapsed, 4),
     }
-    return proteins, result, summary
+    return proteins, result.network, summary
 
 
 def cmd_build_wppi(args) -> int:
     out = Path(args.output)
-    proteins, result, summary = _run_build(args)
-    fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
+    proteins, network, summary = _run_build(args)
+    fileio.write_wppi(out / "wppi.tsv", proteins, network)
     _write_json(out / "build_manifest.json",
                 _manifest(args, _inputs(args, "ppi", "ged", "mapping"), build=summary))
     print(f"vertices: {summary['vertices']}")
@@ -368,11 +367,12 @@ def cmd_pipeline(args) -> int:
     config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
     evaluator.check_match_threshold(args.threshold)
     out = Path(args.output)
-    proteins, result, build_summary = _run_build(args)
+    proteins, network, build_summary = _run_build(args)
     inputs = _inputs(args, "ppi", "ged", "mapping", "catalogue", "annotations")
     if not args.no_intermediates:
-        fileio.write_wppi(out / "wppi.tsv", proteins, result.network)
-    rows, detect_summary = _detect_on(result.network, proteins, config)
+        fileio.write_wppi(out / "wppi.tsv", proteins, network)
+    rows, detect_summary = _detect_on(network, proteins, config)
+    del network  # evaluation never reads it: its neighbour rows are freed here
     fileio.write_communities(out / "communities.tsv", rows)
 
     sections = None
@@ -447,10 +447,18 @@ _COMMANDS = {
 }
 
 
+def _check_output(output: str) -> None:
+    """Reject an ``--output`` at or under an existing non-directory, creating nothing."""
+    found = next(path for path in (Path(output), *Path(output).parents) if path.exists())
+    if not found.is_dir():
+        raise UsageError(f"--output {output}: {found} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args.output)
         if hasattr(args, "threads"):
             args.threads = resolve_threads(args.threads)  # recorded only
         return _COMMANDS[args.command](args)

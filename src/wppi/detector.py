@@ -125,7 +125,7 @@ def delta_modularity(partition: Partition, k: int, v: int) -> float:
         raise ValueError(f"vertex {v} already in community {k}")
     idx, _ = partition.network.neighbors(v)
     members = partition.communities[k]
-    if not any(int(u) in members for u in idx):
+    if not any(u in members for u in idx):
         raise ValueError(f"vertex {v} is not adjacent to community {k}")
     internal = partition.internal_sum[k]
     external = partition.external_sum[k]
@@ -425,8 +425,8 @@ def compress(network: WeightedNetwork, partition: Partition) -> CompressedNetwor
     Every sum is a ``bincount``, which adds in index order: a degree over
     the members ascending, a super-edge weight over its original edges in
     canonical order, and a row total over the row's neighbours ascending
-    (each super-edge is listed from its higher end first, as in the CSR
-    adjacency of ``WeightedNetwork``).
+    (each super-edge is listed from its higher end first, as in the
+    neighbour rows of ``WeightedNetwork``).
     """
     if not partition.is_total():
         raise ValueError("partition must be total before compression")

@@ -298,6 +298,8 @@ def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
     for line_no, cols in _pairs(path, message):
         if len(cols) != 3 or "\t" in cols[2]:
             _fail(path, line_no, message)
+        if cols[0] == cols[1]:
+            _fail(path, line_no, f"self-loop not allowed: {cols[0]!r}")
         weight = _parse(path, line_no, cols[2], "not a number")
         if not 0.0 <= weight <= 1.0:
             _fail(path, line_no, f"weight out of range [0, 1]: {cols[2]!r}")
@@ -306,7 +308,15 @@ def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
     if not weights:
         raise InputError(f"{path}: no weighted edges found")
     proteins, src, dst = _index_pairs(path, labels)
-    return proteins, WeightedNetwork.from_arrays(len(proteins), src, dst, np.array(weights))
+    try:
+        return proteins, WeightedNetwork.from_arrays(len(proteins), src, dst, np.array(weights))
+    except ValueError:  # rows checked above: a pair listed with two weights
+        first: dict[frozenset[str], float] = {}
+        for (line_no, (a, b, _)), weight in zip(_pairs(path, message), weights):
+            if (listed := first.setdefault(frozenset((a, b)), weight)) != weight:
+                _fail(path, line_no, f"conflicting duplicate edge ({a!r}, {b!r}): "
+                      f"weight {weight!r} after {listed!r}")
+        raise
 
 
 def load_catalogue(path) -> ComplexCatalogue:

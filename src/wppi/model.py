@@ -1,9 +1,9 @@
 """Core graph model: interned protein identifiers, interaction networks, partitions.
 
 Networks do not change once constructed; a weighted network builds its
-adjacency on first use. Both network types hold their edges as canonical
-index arrays (i < j, sorted lexicographically), put in that order by one
-function, ``_canonical``.
+neighbour rows, the Python lists every reader walks, once on first use.
+Both network types hold their edges as canonical index arrays (i < j,
+sorted lexicographically), put in that order by one function, ``_canonical``.
 A Partition is mutated only by a single writer (the detector); it keeps
 per-community weight sums incrementally so modularity queries are O(1).
 """
@@ -108,23 +108,15 @@ class PpiNetwork:
 class WeightedNetwork:
     """Undirected network whose edges carry co-expression weights in [0, 1].
 
-    Edges are held in canonical order (i < j, sorted lexicographically) with
-    a CSR-style adjacency sorted by neighbor index, built on first use, so
-    per-vertex sums are reproducible bit for bit.
+    Edges are held in canonical order (i < j, sorted lexicographically).
+    Each vertex's neighbour row, sorted by neighbor index, is built on first
+    use, so per-vertex sums are reproducible bit for bit.
     """
 
     def __init__(self, num_vertices: int, weighted_edges: Iterable[tuple[int, int, float]]):
-        rows = list(weighted_edges)
-        if rows:
-            arr = np.array(rows, dtype=np.float64)
-            src = arr[:, 0].astype(np.int64)
-            dst = arr[:, 1].astype(np.int64)
-            wgt = arr[:, 2]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-            wgt = np.empty(0, dtype=np.float64)
-        self._init_from_arrays(num_vertices, src, dst, wgt)
+        arr = np.array(list(weighted_edges), dtype=np.float64).reshape(-1, 3)
+        self._init_from_arrays(num_vertices, arr[:, 0].astype(np.int64),
+                               arr[:, 1].astype(np.int64), arr[:, 2])
 
     @classmethod
     def from_arrays(cls, num_vertices: int, src: np.ndarray, dst: np.ndarray,
@@ -159,54 +151,51 @@ class WeightedNetwork:
         self.edge_count = int(key.size)
 
     @cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR adjacency over both directions, neighbours ascending per vertex, and the
-        weighted degrees: (indptr, neighbours, weights, degrees). Built on first use, so
-        a network that is only written out (``build-wppi``) never sorts it."""
+    def _adjacency(self) -> tuple[list[list[int]], list[list[float]], np.ndarray]:
+        """(neighbour rows, weight rows, weighted degrees), each row ascending by neighbour.
+        Built on first use, so a network only written out (``build-wppi``) never sorts it."""
         # Listing the reversed edges first, a stable sort by source alone
         # suffices: a vertex's lower neighbours, ascending, come from the
         # reversed half, and its higher ones, ascending, follow.
         adj_src = np.concatenate([self.edge_dst, self.edge_src])
-        adj_dst = np.concatenate([self.edge_src, self.edge_dst])
-        adj_w = np.concatenate([self.edge_weight, self.edge_weight])
         order = _stable_argsort(adj_src)
-        adj_dst = adj_dst[order]
-        adj_w = adj_w[order]
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        adj_w = np.concatenate([self.edge_weight, self.edge_weight])[order]
         counts = np.bincount(adj_src, minlength=self.num_vertices)
-        np.cumsum(counts, out=indptr[1:])
+        ends = np.cumsum(counts)
         degrees = np.zeros(self.num_vertices, dtype=np.float64)
         nonempty = counts > 0
         if np.any(nonempty):
-            degrees[nonempty] = np.add.reduceat(adj_w, indptr[:-1][nonempty])
-        return indptr, adj_dst, adj_w, degrees
+            degrees[nonempty] = np.add.reduceat(adj_w, (ends - counts)[nonempty])
+        # The rows share one int object per vertex and one float object per
+        # edge: half the memory of a new object per entry, as tolist() makes.
+        vertex = np.arange(self.num_vertices).astype(object)
+        dst = vertex[np.concatenate([self.edge_src, self.edge_dst])[order]].tolist()
+        weight = self.edge_weight.astype(object)
+        wgt = np.concatenate([weight, weight])[order].tolist()
+        spans = list(zip([0, *ends.tolist()], ends.tolist()))
+        return [dst[s:e] for s, e in spans], [wgt[s:e] for s, e in spans], degrees
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Edges as (i, j, weight) with i < j, sorted lexicographically."""
         return list(zip(self.edge_src.tolist(), self.edge_dst.tolist(),
                         self.edge_weight.tolist()))
 
-    def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbor indices, weights), ascending by neighbor."""
-        indptr, dst, wgt, _ = self._adjacency
-        s, e = indptr[v], indptr[v + 1]
-        return dst[s:e], wgt[s:e]
+    def neighbors(self, v: int) -> tuple[list[int], list[float]]:
+        """(neighbor indices, weights) of v, ascending by neighbor: rows of ``adjacency_lists``."""
+        rows, weights, _ = self._adjacency
+        return rows[v], weights[v]
 
     def adjacency_lists(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per-vertex (neighbor, weight) Python lists, ascending by neighbor."""
-        indptr, dst, wgt, _ = self._adjacency
-        bounds = indptr.tolist()
-        dst = dst.tolist()
-        wgt = wgt.tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        return [dst[s:e] for s, e in spans], [wgt[s:e] for s, e in spans]
+        """Per-vertex (neighbor, weight) lists, ascending by neighbor; shared, not to be mutated."""
+        rows, weights, _ = self._adjacency
+        return rows, weights
 
     def weighted_degree(self, v: int) -> float:
-        return float(self._adjacency[3][v])
+        return float(self._adjacency[2][v])
 
     @property
     def degrees(self) -> np.ndarray:
-        return self._adjacency[3]
+        return self._adjacency[2]
 
 
 class Partition:
@@ -252,7 +241,7 @@ class Partition:
         idx, wgt = self.network.neighbors(v)
         assign = self.assignment
         total = 0.0
-        for u, w in zip(idx.tolist(), wgt.tolist()):
+        for u, w in zip(idx, wgt):
             if assign[u] == k:
                 total += w
         return total
@@ -312,21 +301,12 @@ class Partition:
         external = 0.0
         for v in sorted(members):
             idx, wgt = self.network.neighbors(v)
-            for u, w in zip(idx.tolist(), wgt.tolist()):
+            for u, w in zip(idx, wgt):
                 if u in members:
                     internal += w
                 else:
                     external += w
         return internal, external
-
-    def cache_drift(self) -> float:
-        """Max absolute difference between cached and recomputed sums."""
-        worst = 0.0
-        for k in self.communities:
-            internal, external = self.recomputed_sums(k)
-            worst = max(worst, abs(internal - self.internal_sum[k]),
-                        abs(external - self.external_sum[k]))
-        return worst
 
     @classmethod
     def from_communities(cls, network: WeightedNetwork,

@@ -58,6 +58,45 @@ def weighted_degree_direct(edges, v) -> float:
     return total
 
 
+def neighbours_loop(edges, v) -> list[tuple[int, float]]:
+    """(neighbour, weight) of each edge at v, ascending by neighbour."""
+    return sorted((j if i == v else i, w) for i, j, w in edges if v in (i, j))
+
+
+def weight_to_loop(edges, assignment, v, k) -> float:
+    """Weight from v into community k, added in ascending-neighbour order."""
+    total = 0.0
+    for u, w in neighbours_loop(edges, v):
+        if assignment[u] == k:
+            total += w
+    return total
+
+
+def community_sums_loop(edges, members) -> tuple[float, float]:
+    """(internal, external) weight sums of a community, its members walked
+    ascending and each member's neighbours ascending."""
+    internal = 0.0
+    external = 0.0
+    for v in sorted(members):
+        for u, w in neighbours_loop(edges, v):
+            if u in members:
+                internal += w
+            else:
+                external += w
+    return internal, external
+
+
+def cache_drift(partition) -> float:
+    """Max absolute difference between a partition's cached and recomputed sums."""
+    edges = partition.network.edges()
+    worst = 0.0
+    for k, members in partition.communities.items():
+        internal, external = community_sums_loop(edges, members)
+        worst = max(worst, abs(internal - partition.internal_sum[k]),
+                    abs(external - partition.external_sum[k]))
+    return worst
+
+
 def community_q_direct(edges, members, eps=1e-12) -> float:
     members = set(members)
     internal = 0.0

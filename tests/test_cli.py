@@ -134,6 +134,19 @@ class TestDetectCommand:
         assert f"{wppi}:3: " in capsys.readouterr().err
         assert not (toy["out"] / "bad").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ("A\tB\t0.5\nC\tC\t0.5\n", ":3: self-loop not allowed: 'C'"),
+        ("A\tB\t0.5\n# note\nB\tC\t0.1\nB\tA\t0.7\n",
+         ":5: conflicting duplicate edge ('B', 'A'): weight 0.7 after 0.5"),
+    ], ids=["self-loop", "conflicting-duplicate"])
+    def test_bad_edge_is_input_error_naming_file_line_and_labels(self, toy, capsys, rows,
+                                                                  message):
+        wppi = toy["out"] / "bad.tsv"
+        wppi.write_text(f"# wppi v1\n{rows}")
+        assert run("detect", "--wppi", wppi, "--output", toy["out"] / "bad") == 2
+        assert capsys.readouterr().err == f"error: {wppi}{message}\n"
+        assert not (toy["out"] / "bad").exists()
+
     def test_stage2_pass_cap_is_gone(self, toy, toy_run):
         import jsonschema
         from importlib import resources
@@ -376,6 +389,30 @@ class TestPipelineCommand:
         assert not (toy["out"] / "ni" / "wppi.tsv").exists()
         assert (toy["out"] / "ni" / "communities.tsv").exists()
 
+    def test_network_is_released_before_evaluation(self, toy, monkeypatch):
+        import weakref
+
+        import wppi.cli
+        import wppi.detector
+
+        seen = []
+        detect, sections = wppi.detector.detect, wppi.cli._evaluation_sections
+
+        def tracked_detect(network, *args):
+            seen.append(weakref.ref(network))
+            return detect(network, *args)
+
+        def checked_sections(*args):
+            assert seen and seen[0]() is None, "the network outlived detection"
+            seen.append("evaluated")
+            return sections(*args)
+
+        monkeypatch.setattr(wppi.detector, "detect", tracked_detect)
+        monkeypatch.setattr(wppi.cli, "_evaluation_sections", checked_sections)
+        assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--catalogue", toy["catalogue"], "--output", toy["out"] / "p") == 0
+        assert seen[-1] == "evaluated"
+
     def test_json_report_validates_against_schema(self, toy):
         import jsonschema
         from importlib import resources
@@ -432,6 +469,22 @@ class TestManifestConfig:
         config = json.loads((out / manifest).read_text())["config"]
         assert set(config) == CONFIG_KEYS[command]
         assert config["command"] == command
+
+
+class TestSharedFlags:
+    def test_pipeline_flags_match_the_stage_commands(self):
+        from wppi.cli import build_parser
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        stages = {}
+        for name in ("build-wppi", "detect", "evaluate"):
+            for action in commands[name]._actions:
+                stages.update(dict.fromkeys(action.option_strings, action))
+        own = {"-h", "--help", "--no-intermediates"}
+        for action in commands["pipeline"]._actions:
+            for flag in set(action.option_strings) - own:
+                assert action.help == stages[flag].help, flag
+                assert action.default == stages[flag].default, flag
 
 
 class TestGenSynthetic:
@@ -582,6 +635,30 @@ class TestExitCodes:
                    "--annotations", toy["annotations"],
                    "--output", toy["out"] / "timed") == 0
         assert time.perf_counter() - start < 5.0
+
+
+class TestOutputIsAFile:
+    @pytest.mark.parametrize("command", ["build-wppi", "detect", "evaluate", "pipeline",
+                                         "gen-synthetic"])
+    @pytest.mark.parametrize("under", [False, True], ids=["the-file", "under-the-file"])
+    def test_usage_error_before_any_work(self, toy, toy_run, capsys, command, under):
+        argv = {
+            "build-wppi": ("--ppi", toy["ppi"], "--ged", toy["ged"]),
+            "detect": ("--wppi", toy_run / "wppi.tsv"),
+            "evaluate": ("--communities", toy_run / "communities.tsv",
+                         "--catalogue", toy["catalogue"]),
+            "pipeline": ("--ppi", toy["ppi"], "--ged", toy["ged"]),
+            "gen-synthetic": (),
+        }[command]
+        afile = toy["out"] / "afile"
+        afile.write_text("keep me\n")
+        output = afile / "x" if under else afile
+        assert run(command, *argv, "--output", output) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --output {output}: {afile} is not a directory\n"
+        assert captured.out == ""
+        assert afile.read_text() == "keep me\n"
+        assert sorted(p.name for p in toy["out"].iterdir()) == ["afile", "run"]
 
 
 class TestStartup:

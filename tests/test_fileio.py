@@ -296,6 +296,12 @@ class TestLoadWppi:
         with pytest.raises(InputError, match=re.escape(message)):
             fileio.load_wppi(path)
 
+    def test_edge_repeated_with_an_equal_weight_is_one_edge(self, tmp_path):
+        path = tmp_path / "wppi.tsv"
+        path.write_text("# wppi v1\nA\tB\t0.5\nB\tC\t0.25\nB\tA\t0.50\n")
+        _, network = fileio.load_wppi(path)
+        assert network.edges() == [(0, 1, 0.5), (1, 2, 0.25)]
+
 
 class TestLoadMapping:
     def test_comments_blank_lines_crlf_and_extras(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from wppi.model import Partition, PpiNetwork, ProteinIndex, WeightedNetwork, _stable_argsort
 
 from .conftest import random_network
+from .oracles import cache_drift, community_sums_loop, weight_to_loop
 
 
 class TestInternProteins:
@@ -118,6 +119,20 @@ class TestWeightedNetwork:
             for v in range(net.num_vertices):
                 assert list(zip(adj[v], adj_w[v])) == sorted(expected.get(v, []))
 
+    def test_adjacency_rows_are_built_once_and_shared(self):
+        net = random_network(3, n=300, p=0.03)  # ids above CPython's cached small ints
+        rows, weights = net.adjacency_lists()
+        again = net.adjacency_lists()
+        assert again[0] is rows and again[1] is weights
+        for v in range(net.num_vertices):
+            idx, wgt = net.neighbors(v)
+            assert idx is rows[v] and wgt is weights[v]
+            assert type(idx) is list and type(wgt) is list
+            for u, w in zip(idx, wgt):  # one float object per edge
+                assert weights[u][rows[u].index(v)] is w
+        # and one int object per vertex
+        assert len({id(u) for row in rows for u in row}) == len({u for row in rows for u in row})
+
     def test_sorted_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError, match="conflicting duplicate"):
             WeightedNetwork.from_arrays(3, np.array([0, 0, 1]), np.array([1, 1, 2]),
@@ -151,7 +166,7 @@ class TestPartitionCache:
         part.move(1, b)  # pulled across
         assert part.communities[a] == {0}
         assert 1 in part.communities[b]
-        assert part.cache_drift() < 1e-12
+        assert cache_drift(part) < 1e-12
 
     def test_cache_matches_recompute_after_random_moves(self):
         rng = np.random.default_rng(7)
@@ -164,12 +179,12 @@ class TestPartitionCache:
                 k = ids[int(rng.integers(len(ids)))]
                 if k in part.communities and part.assignment[v] != k:
                     part.move(v, k)
-            assert part.cache_drift() < 1e-9
+            assert cache_drift(part) < 1e-9
 
     def test_from_communities_covers_and_caches(self, two_triangles):
         part = Partition.from_communities(two_triangles, [[0, 1, 2], [3, 4, 5]])
         assert part.is_total()
-        assert part.cache_drift() == 0.0
+        assert cache_drift(part) == 0.0
         assert part.internal_sum[0] == pytest.approx(6.0)
         assert part.external_sum[0] == pytest.approx(0.1)
 
@@ -197,3 +212,26 @@ class TestRoundTrip:
         assert original.keys() == loaded.keys()
         for key, w in original.items():
             assert loaded[key] == w  # exact, not approx
+
+
+def test_weight_to_and_recomputed_sums_equal_the_loops_to_the_bit():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for seed in range(6):
+        net = random_network(seed + 40, n=int(rng.integers(20, 90)), p=0.15)
+        edges = net.edges()
+        part = Partition(net)
+        ids = [part.new_community(v) for v in range(0, net.num_vertices, 4)]
+        for v in range(net.num_vertices):
+            if part.assignment[v] == Partition.UNASSIGNED and rng.random() < 0.7:
+                part.move(v, ids[int(rng.integers(len(ids)))])
+        for v in range(net.num_vertices):
+            for k in ids:
+                assert part.weight_to(v, k).hex() == \
+                    weight_to_loop(edges, part.assignment, v, k).hex()
+                checked += 1
+        for k, members in part.communities.items():
+            got = part.recomputed_sums(k)
+            want = community_sums_loop(edges, members)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert checked > 1000
