@@ -180,6 +180,8 @@ def _run_build(args):
     from . import builder
     from .expression import quantile_normalize
 
+    if args.default_weight is not None and not 0.0 <= args.default_weight <= 1.0:
+        raise UsageError(f"--default-weight must lie in [0, 1], got {args.default_weight!r}")
     proteins, ppi = fileio.load_ppi(args.ppi)
     matrix = fileio.load_expression(args.ged)
     matrix = quantile_normalize(matrix)

@@ -403,14 +403,13 @@ class CompressedNetwork:
     ``degrees`` aggregates the members' original weighted degrees;
     super-edges aggregate the original weights crossing two communities
     (weights internal to a community never count as super-edges).
-    ``edges`` holds them as (a, b, weight) with a < b, sorted, and every
-    ``neighbors`` row lists its neighbours in ascending order, so a walk
-    over a row needs no sort.
+    ``neighbors`` holds each super-edge weight in the rows of both ends, and
+    every row lists its neighbours in ascending order, so a walk over a row
+    needs no sort and its pairs (a, b > a), row by row, come sorted.
     """
 
     members: list[list[int]]
     degrees: np.ndarray
-    edges: list[tuple[int, int, float]]
     neighbors: list[dict[int, float]]
     mean_neighbor_weight: np.ndarray
 
@@ -447,12 +446,10 @@ def compress(network: WeightedNetwork, partition: Partition) -> CompressedNetwor
     totals = np.bincount(ends, weights=np.concatenate([weights, weights]), minlength=k)
     mnw = np.divide(totals, counts, out=np.zeros(k), where=counts > 0)
 
-    edges = list(zip(lo.tolist(), hi.tolist(), weights.tolist()))
     neighbors: list[dict[int, float]] = [dict() for _ in range(k)]
-    for x, y, w in edges:
-        neighbors[x][y] = w
-        neighbors[y][x] = w
-    return CompressedNetwork(members=members, degrees=degrees, edges=edges,
+    for x, y, w in zip(lo.tolist(), hi.tolist(), weights.tolist()):
+        neighbors[x][y] = neighbors[y][x] = w
+    return CompressedNetwork(members=members, degrees=degrees,
                              neighbors=neighbors, mean_neighbor_weight=mnw)
 
 
@@ -540,10 +537,11 @@ def stage2_refine(compressed: CompressedNetwork,
     is 0 has internal weight 0 too and is rejected.
 
     The super-edges between two groups are kept as one ``[count, weight]``
-    cell that both groups' adjacency rows share, so a union test reads the
-    pair's cross edges in O(1). A merge folds the absorbed group's row into
-    the survivor's: a cell the survivor lacks is re-keyed, and one it has
-    adds the absorbed cell, which also updates the third group's row.
+    cell that both groups' adjacency rows share, set up from the neighbour
+    rows in sorted (a, b) order, so a union test reads the pair's cross
+    edges in O(1). A merge folds the absorbed group's row into the
+    survivor's: a cell the survivor lacks is re-keyed, and one it has adds
+    the absorbed cell, which also updates the third group's row.
     """
     config = config or HubConfig()
     lam = config.cohesion_threshold
@@ -553,8 +551,10 @@ def stage2_refine(compressed: CompressedNetwork,
     groups = {sv: _Group([sv], 0, 0.0, float(compressed.mean_neighbor_weight[sv]))
               for sv in range(k)}
     adjacency: list[dict[int, list]] = [{} for _ in range(k)]
-    for a, b, w in compressed.edges:
-        adjacency[a][b] = adjacency[b][a] = [1, w]
+    for a, row in enumerate(neighbors):
+        for b, w in row.items():
+            if b > a:
+                adjacency[a][b] = adjacency[b][a] = [1, w]
     order = sorted(range(k), key=lambda sv: (-float(compressed.degrees[sv]), sv))
 
     passes = 0

@@ -9,7 +9,7 @@ co-expression evidence and correlate 0, with a flag so callers can count them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,15 +75,10 @@ def quantile_normalize_values(values: np.ndarray) -> np.ndarray:
 
 
 def quantile_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
-    """Quantile-normalize an expression matrix (requires at least 2 samples)."""
+    """Quantile-normalize (at least 2 samples); the result shares the input's labels."""
     if matrix.sample_count < 2:
         raise ValueError("insufficient samples")
-    return ExpressionMatrix(
-        gene_index=dict(matrix.gene_index),
-        values=quantile_normalize_values(matrix.values),
-        sample_names=list(matrix.sample_names),
-        dropped_genes=list(matrix.dropped_genes),
-    )
+    return replace(matrix, values=quantile_normalize_values(matrix.values))
 
 
 def standardize_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

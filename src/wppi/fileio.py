@@ -1,20 +1,21 @@
 """File formats and atomic report writing.
 
-Every loader reads its file in one ``read`` and reports malformed content
-as ``InputError`` carrying the file and line. A two-column file (PPI,
-mapping, catalogue, annotations) whose every line is two non-empty
-tab-separated labels, with no '#' or blank line, is split into its labels
-in one go; any other goes through ``_pairs`` line by line, which names the
-first malformed line, so both routes give the same rows and errors. For
-evaluation the annotation file is read once into what enrichment reads,
-each protein's terms and each term's size within the communities' universe
-(``load_term_index``); ``load_annotations`` keeps the full term sets.
-Expression cells go to numpy's parser in one call; where it could differ
-from float() or cannot name the bad line, the rows are read and checked one
-by one. numpy and the array types are imported by the loaders that build
-arrays, so reading only the evaluation inputs never loads numpy. Writers
-stage into a temporary file in the target directory and rename into place,
-so an interrupted run never leaves a partial file.
+Every loader reads its file in one ``read`` and reports malformed content as
+``InputError`` carrying the file and line. A two-column file (PPI, mapping,
+catalogue, annotations) whose every line is two non-empty tab-separated
+labels, with no '#' or blank line, is split into its labels in one go; any
+other goes through ``_pairs`` line by line, which names the first malformed
+line, so both routes give the same rows and errors. For evaluation the
+annotation file is read once into what enrichment reads, each protein's
+terms (one string per term) and each term's size within the communities'
+universe (``load_term_index``); ``load_annotations`` keeps the full term
+sets. Expression cells go to numpy's parser in one call, empty ones filled
+by str.replace, not a regex; where it could differ from float() or cannot
+name the bad line, the rows are read and checked one by one. numpy and the
+array types are imported by the loaders that build arrays, so reading only
+the evaluation inputs never loads numpy. Writers stage into a temporary file
+in the target directory and rename into place, so an interrupted run never
+leaves a partial file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import re
 import tempfile
 from collections import Counter, deque
 from itertools import chain, compress, count, repeat
@@ -207,7 +207,6 @@ def load_expression(path) -> ExpressionMatrix:
 # float() rejects a cell holding any of these or reads it as non-finite (the
 # 'n' of nan and inf); numpy may read '\x1c'-'\x1f' as spaces, and 'x' as hex.
 _NOT_FLOAT_TEXT = "nNxX\x1c\x1d\x1e\x1f"
-_EMPTY_CELL = re.compile(r"(?<![^\t\n])(?![^\t\n])")
 
 
 def _parse_floats(lines):
@@ -230,8 +229,10 @@ def _bulk_values(rows, expected: int):
     try:
         values = _parse_floats(cells)
     except ValueError:  # empty cells, perhaps: parse again with 'nan' written into them
+        # In tab-padded lines an empty cell is a '\t\t'; a pass fills every other one of a run.
+        padded = ("\t" + "\t\n\t".join(cells) + "\t").replace("\t\t", "\tnan\t")
         try:
-            values = _parse_floats(_EMPTY_CELL.sub("nan", text).split("\n"))
+            values = _parse_floats(padded.replace("\t\t", "\tnan\t")[1:-1].split("\t\n\t"))
         except ValueError:
             return None
     if values.shape != (len(genes), expected) or np.isinf(values).any():
@@ -365,11 +366,12 @@ def load_term_index(path, universe) -> tuple[dict[str, dict[str, None]], Counter
     _, cells = _pair_cells(path, "expected protein_label and term_id columns")
     if not cells:
         raise InputError(f"{path}: no annotations found")
-    # Each row adds its term to its protein's at C speed; the terms of a protein
-    # outside the universe go to a dict that is dropped.
+    # Each row adds its term's first string object (one per term to hash and compare) to
+    # its protein's at C speed; the terms of a protein outside the universe are dropped.
+    first = {term: term for term in dict.fromkeys(cells[1::2])}
     outside: dict[str, None] = {}
-    deque(map(dict.setdefault, map(terms_of.get, cells[0::2], repeat(outside)), cells[1::2]),
-          maxlen=0)
+    deque(map(dict.setdefault, map(terms_of.get, cells[0::2], repeat(outside)),
+              map(first.__getitem__, cells[1::2])), maxlen=0)
     terms_of = {protein: terms for protein, terms in terms_of.items() if terms}
     return terms_of, Counter(chain.from_iterable(terms_of.values()))
 

@@ -449,6 +449,12 @@ def compress_loop(network, partition):
     return degrees, edges, rows, means
 
 
+def super_edges(compressed) -> list[tuple[int, int, float]]:
+    """A compressed network's super-edges as sorted (a, b, weight) with a < b, from its rows."""
+    return sorted((a, b, w) for a, row in enumerate(compressed.neighbors)
+                  for b, w in row.items() if a < b)
+
+
 def cohesion_pair_walk(compressed, members):
     """Functional cohesion of a super-vertex group from a walk over all its pairs."""
     group = sorted(set(members))

@@ -92,6 +92,18 @@ class TestBuildCommand:
                    toy["ged"], "--output", toy["out"] / "y")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["build-wppi", "pipeline"])
+    @pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
+    def test_bad_default_weight_is_usage_error_before_any_input_is_read(self, toy, capsys,
+                                                                        command, value):
+        # The PPI does not exist: the flag is reported first, so no input was opened.
+        out = toy["out"] / "w"
+        assert run(command, "--ppi", toy["out"] / "nope.tsv", "--ged", toy["ged"],
+                   "--default-weight", value, "--output", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: --default-weight must lie in [0, 1], got {float(value)!r}\n"
+        assert not out.exists()
+
 
 class TestDetectCommand:
     def test_detect_from_wppi_file(self, toy):
@@ -336,6 +348,22 @@ class TestEvaluateCommand:
                 assert block["population"] == population, case
                 assert block["records"] == [vars(r) for r in records], case
         assert routes == {True, False}
+
+    def test_term_index_holds_one_object_per_term(self, tmp_path):
+        from wppi import evaluator, fileio
+
+        from .oracles import enrichment_route_loop
+
+        rng = random.Random(25)
+        for case in range(20):
+            member_sets = self._route_case(rng, tmp_path)
+            universe = set().union(*member_sets.values())
+            terms_of, term_sizes = fileio.load_term_index(tmp_path / "annotations.tsv", universe)
+            objects = {id(term) for terms in terms_of.values() for term in terms}
+            assert len(objects) == len(term_sizes), case
+            _, records = enrichment_route_loop(member_sets, tmp_path / "annotations.tsv", False)
+            assert evaluator.enrich_index(member_sets, terms_of, term_sizes,
+                                          len(universe)) == records, case
 
     @pytest.mark.parametrize("text, message", [
         ("# no rows\n\n", "annotations.tsv: no annotations found"),

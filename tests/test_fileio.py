@@ -143,18 +143,21 @@ class TestLoadExpression:
 
     def test_clean_file_with_gaps_is_parsed_in_bulk(self, tmp_path, monkeypatch):
         path = tmp_path / "ged.tsv"
-        path.write_text("gene_id\tS1\tS2\tS3\nG1\t1\t2\t3\nG2\t2.5\t\t0.5\n"
-                        "G3\t\t-0\t4e-3\nG4\t\t\t7\n")
+        # Gaps in the middle, first and last cells, and runs of empty cells.
+        path.write_text("gene_id\tS1\tS2\tS3\tS4\tS5\nG1\t1\t2\t3\t4\t5\n"
+                        "G2\t2.5\t\t0.5\t1\t1\nG3\t\t-0\t0.25\t1\t0.75\nG4\t1\t1\t\t\t\n"
+                        "G5\t\t\t\t\t7\nG6\t6\t2.5e-1\t3\t0.75\t\nG7\t4\t\t\t2\t0\n")
 
         def row_by_row(*args):
             raise AssertionError("fell back to the row-by-row reader")
 
         monkeypatch.setattr(fileio, "_row_values", row_by_row)
         matrix = fileio.load_expression(path)
-        assert matrix.values.tolist() == [[1.0, 2.0, 3.0], [2.5, 1.5, 0.5],
-                                          [0.002, -0.0, 0.004]]
-        assert matrix.gene_index == {"G1": 0, "G2": 1, "G3": 2}
-        assert matrix.dropped_genes == ["G4"]
+        assert matrix.values.tolist() == [[1.0, 2.0, 3.0, 4.0, 5.0], [2.5, 1.25, 0.5, 1.0, 1.0],
+                                          [0.5, -0.0, 0.25, 1.0, 0.75],
+                                          [6.0, 0.25, 3.0, 0.75, 2.5], [4.0, 2.0, 2.0, 2.0, 0.0]]
+        assert matrix.gene_index == {"G1": 0, "G2": 1, "G3": 2, "G6": 3, "G7": 4}
+        assert matrix.dropped_genes == ["G4", "G5"]
 
 
 # Cells float() reads, cells numpy's parser rejects or reads differently, and
