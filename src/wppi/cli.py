@@ -255,10 +255,19 @@ def _detect_on(network, proteins, config):
     return rows, summary
 
 
-def cmd_detect(args) -> int:
+def _hub_config(args):
+    """Detector thresholds, a bad one reported under its flag before any input is read."""
     from . import detector
 
-    config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
+    if args.d_alpha is not None and not args.d_alpha >= 0:  # NaN fails this and the next test
+        raise UsageError(f"--d-alpha: hub threshold must be >= 0, got {args.d_alpha!r}")
+    if not args.cohesion > 0:
+        raise UsageError(f"--lambda: cohesion threshold must be > 0, got {args.cohesion!r}")
+    return detector.HubConfig(args.d_alpha, args.cohesion)
+
+
+def cmd_detect(args) -> int:
+    config = _hub_config(args)
     out = Path(args.output)
     proteins, network = fileio.load_wppi(args.wppi)
     inputs = _inputs(args, "wppi")
@@ -364,9 +373,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from . import detector
-
-    config = detector.HubConfig(args.d_alpha, args.cohesion)  # validate before any work
+    config = _hub_config(args)
     evaluator.check_match_threshold(args.threshold)
     out = Path(args.output)
     proteins, network, build_summary = _run_build(args)

@@ -23,7 +23,7 @@ k - 1 merges, and every multi-member group is connected.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -124,8 +124,7 @@ def delta_modularity(partition: Partition, k: int, v: int) -> float:
     if partition.assignment[v] == k:
         raise ValueError(f"vertex {v} already in community {k}")
     idx, _ = partition.network.neighbors(v)
-    members = partition.communities[k]
-    if not any(u in members for u in idx):
+    if not any(partition.assignment[u] == k for u in idx):
         raise ValueError(f"vertex {v} is not adjacent to community {k}")
     internal = partition.internal_sum[k]
     external = partition.external_sum[k]
@@ -189,9 +188,9 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     moved vertex's ``links`` weights to ``Partition.detach`` and
     ``Partition.attach``, the sum updates ``Partition.move`` also uses. When
     the two communities have fewer members than the neighbour has
-    neighbours, the re-sum walks their ascending member lists instead and
-    finds each member in the neighbour's sorted row by bisection: the same
-    additions in the same order.
+    neighbours, the re-sum walks the partition's ascending member lists
+    instead and finds each member in the neighbour's sorted row by
+    bisection: the same additions in the same order.
 
     A community's frontier, its candidate set, is read off ``links``: the
     non-members u with ``k in links[u]``. It changes only where a ``links``
@@ -237,7 +236,6 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
         for c in links[v]:
             if c != own:
                 frontier[c].add(v)
-    ordered = {k: sorted(members) for k, members in communities.items()}
     dirty = set(communities)  # rescanned in full at the next visit
     # A clean community's candidates whose leave term rose since its last
     # visit. Marks go only to clean communities and a full rescan drops the
@@ -288,23 +286,20 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             changed = True
             v = best_v
             src = assign[v]
+            src_members = communities.get(src, ())  # read first: detach may delete it
             if src == unassigned:
                 src = left = None  # the re-sum below then matches no community
-                src_members = ()
             else:
                 steals += 1
                 left = frontier[src]
-                src_members = ordered[src]
-                del src_members[bisect_left(src_members, v)]
                 if partition.detach(v, links[v].get(src, 0.0)):
-                    del frontier[src], ordered[src]
+                    del frontier[src]
                     dirty.discard(src)
                     touched.pop(src, None)
                 elif src in links[v]:
                     left.add(v)
             partition.attach(v, k, links[v][k])
-            k_members = ordered[k]
-            insort(k_members, v)
+            k_members = communities[k]
             candidates = frontier[k]
             candidates.discard(v)
             walk = len(k_members) + len(src_members)
@@ -430,7 +425,7 @@ def compress(network: WeightedNetwork, partition: Partition) -> CompressedNetwor
     if not partition.is_total():
         raise ValueError("partition must be total before compression")
     ids = partition.community_ids()
-    members = [sorted(partition.communities[cid]) for cid in ids]
+    members = [list(partition.communities[cid]) for cid in ids]
     k = len(ids)
     sv = np.searchsorted(ids, partition.assignment)
     degrees = np.bincount(sv, weights=network.degrees, minlength=k)

@@ -25,7 +25,7 @@ import math
 import os
 import tempfile
 from collections import Counter, deque
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -153,8 +153,7 @@ def _index_pairs(path, labels: list[str]) -> tuple[ProteinIndex, np.ndarray, np.
         line_no, label = next((n, a) for n, cols in _pairs(path, "") for a in cols[:2] if "," in a)
         _fail(path, line_no, f"protein label {label!r} contains ','")
     proteins = ProteinIndex(labels)
-    index = dict(zip(proteins, count()))
-    idx = np.fromiter(map(index.__getitem__, labels), dtype=np.int64, count=len(labels))
+    idx = np.fromiter(map(proteins._index.__getitem__, labels), dtype=np.int64, count=len(labels))
     return proteins, idx[0::2], idx[1::2]
 
 

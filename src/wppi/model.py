@@ -4,12 +4,14 @@ Networks do not change once constructed; a weighted network builds its
 neighbour rows, the Python lists every reader walks, once on first use.
 Both network types hold their edges as canonical index arrays (i < j,
 sorted lexicographically), put in that order by one function, ``_canonical``.
-A Partition is mutated only by a single writer (the detector); it keeps
+A Partition, mutated only by the detector, holds each community as one
+ascending member list, reads membership from its vertex assignment, and keeps
 per-community weight sums incrementally so modularity queries are O(1).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -204,7 +206,8 @@ class Partition:
     ``internal_sum[k]`` is the sum over members of their weight to other
     members (each internal edge counted from both endpoints);
     ``external_sum[k]`` is the total weight crossing the community boundary.
-    Vertices not yet assigned carry the sentinel ``UNASSIGNED``. ``detach``
+    ``communities[k]`` lists k's members ascending; membership is read from
+    ``assignment``, where unassigned vertices carry ``UNASSIGNED``. ``detach``
     and ``attach`` are the only code that updates the sums for a move; they
     take v's weight into the community as an argument, so a caller that
     caches it (stage 1) skips ``weight_to``.
@@ -215,7 +218,7 @@ class Partition:
     def __init__(self, network: WeightedNetwork):
         self.network = network
         self.assignment: list[int] = [self.UNASSIGNED] * network.num_vertices
-        self.communities: dict[int, set[int]] = {}
+        self.communities: dict[int, list[int]] = {}
         self.internal_sum: dict[int, float] = {}
         self.external_sum: dict[int, float] = {}
         self._next_id = 0
@@ -224,7 +227,7 @@ class Partition:
         dup = Partition.__new__(Partition)
         dup.network = self.network
         dup.assignment = list(self.assignment)
-        dup.communities = {k: set(v) for k, v in self.communities.items()}
+        dup.communities = {k: list(v) for k, v in self.communities.items()}
         dup.internal_sum = dict(self.internal_sum)
         dup.external_sum = dict(self.external_sum)
         dup._next_id = self._next_id
@@ -253,7 +256,7 @@ class Partition:
         k = self._next_id
         self._next_id += 1
         self.assignment[v] = k
-        self.communities[k] = {v}
+        self.communities[k] = [v]
         self.internal_sum[k] = 0.0
         self.external_sum[k] = self.network.weighted_degree(v)
         return k
@@ -277,7 +280,7 @@ class Partition:
         src = self.assignment[v]
         deg = self.network.weighted_degree(v)
         members = self.communities[src]
-        members.discard(v)
+        del members[bisect_left(members, v)]
         self.internal_sum[src] -= 2.0 * w_src
         self.external_sum[src] += 2.0 * w_src - deg
         self.assignment[v] = self.UNASSIGNED
@@ -290,19 +293,18 @@ class Partition:
         """Put unassigned v into community k, given its weight w_dst into k."""
         deg = self.network.weighted_degree(v)
         self.assignment[v] = k
-        self.communities[k].add(v)
+        insort(self.communities[k], v)
         self.internal_sum[k] += 2.0 * w_dst
         self.external_sum[k] += deg - 2.0 * w_dst
 
     def recomputed_sums(self, k: int) -> tuple[float, float]:
         """Brute-force (internal, external) sums for community k, for validation."""
-        members = self.communities[k]
-        internal = 0.0
-        external = 0.0
-        for v in sorted(members):
+        assign = self.assignment
+        internal = external = 0.0
+        for v in self.communities[k]:
             idx, wgt = self.network.neighbors(v)
             for u, w in zip(idx, wgt):
-                if u in members:
+                if assign[u] == k:
                     internal += w
                 else:
                     external += w
@@ -313,20 +315,15 @@ class Partition:
                          groups: Sequence[Iterable[int]]) -> "Partition":
         """Build a total partition from explicit vertex groups (sums recomputed exactly)."""
         part = cls(network)
-        for members in groups:
-            members = sorted(members)
-            if not members:
-                continue
+        for members in filter(None, map(sorted, groups)):  # an empty group is skipped
             k = part.new_community(members[0])
             for v in members[1:]:
                 if part.assignment[v] != cls.UNASSIGNED:
                     raise ValueError(f"vertex {v} listed in two groups")
                 part.assignment[v] = k
-                part.communities[k].add(v)
+            part.communities[k] = members
         for k in part.communities:
-            internal, external = part.recomputed_sums(k)
-            part.internal_sum[k] = internal
-            part.external_sum[k] = external
+            part.internal_sum[k], part.external_sum[k] = part.recomputed_sums(k)
         if not part.is_total():
             raise ValueError("groups do not cover every vertex")
         return part

@@ -339,7 +339,7 @@ def stage1_reference(seeds, sweep_cap=10_000):
             for m in members:
                 idx, _ = network.neighbors(m)
                 seen.update(int(u) for u in idx)
-            candidates = sorted(seen - members)
+            candidates = sorted(seen.difference(members))
             evaluations += len(candidates)
             best_v = None
             best_gain = 0.0

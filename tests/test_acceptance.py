@@ -163,7 +163,7 @@ def test_criterion_05_stage1_local_optimality(fuzz_graphs):
             for m in members:
                 idx, _ = net.neighbors(m)
                 neighbors.update(int(u) for u in idx)
-            for v in sorted(neighbors - members):
+            for v in sorted(neighbors.difference(members)):
                 assert move_gain(part, k, v) <= 1e-9
                 scanned += 1
 
@@ -186,7 +186,7 @@ def test_criterion_05_stage1_local_optimality(fuzz_graphs):
         if not any(int(u) in members for u in idx):
             continue
         inc = delta_modularity(part, k, v)
-        brute = community_q_direct(edges, members | {v}) - \
+        brute = community_q_direct(edges, {*members, v}) - \
             community_q_direct(edges, members)
         assert abs(inc - brute) <= 1e-9
         part.move(v, k)

@@ -586,6 +586,19 @@ class TestExitCodes:
             assert "threshold must be" in capsys.readouterr().err
             assert not out.exists(), argv[0]
 
+    @pytest.mark.parametrize("flag, value", [("--lambda", "0"), ("--lambda", "nan"),
+                                             ("--d-alpha", "-1")])
+    def test_bad_detector_threshold_names_its_flag_before_any_input(self, toy, toy_run, capsys,
+                                                                   flag, value):
+        out = toy["out"] / "bad"
+        missing = toy["out"] / "missing.tsv"
+        runs = [*self.detecting_runs(toy, toy_run), ("detect", "--wppi", missing),
+                ("pipeline", "--ppi", missing, "--ged", missing)]
+        for argv in runs:
+            assert run(*argv, flag, value, "--output", out) == 2, argv
+            assert f"error: {flag}: " in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+
     @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
     def test_bad_match_threshold_is_usage_error_before_any_output(self, toy, toy_run, capsys,
                                                                    value):

@@ -164,7 +164,7 @@ class TestPartitionCache:
         b = part.new_community(3)
         part.move(1, a)
         part.move(1, b)  # pulled across
-        assert part.communities[a] == {0}
+        assert part.communities[a] == [0]
         assert 1 in part.communities[b]
         assert cache_drift(part) < 1e-12
 
@@ -235,3 +235,37 @@ def test_weight_to_and_recomputed_sums_equal_the_loops_to_the_bit():
             want = community_sums_loop(edges, members)
             assert [x.hex() for x in got] == [x.hex() for x in want]
     assert checked > 1000
+
+
+def test_each_community_is_the_ascending_list_of_its_assigned_vertices():
+    from wppi.detector import stage1_agglomerate
+
+    def check(part):
+        n = part.network.num_vertices
+        for k, members in part.communities.items():
+            assert type(members) is list and members
+            assert members == [v for v in range(n) if part.assignment[v] == k]
+        held = sorted(v for members in part.communities.values() for v in members)
+        assert held == [v for v in range(n) if part.assignment[v] != Partition.UNASSIGNED]
+
+    rng = np.random.default_rng(26)
+    for seed in range(6):
+        net = random_network(seed + 60, n=int(rng.integers(20, 80)), p=0.12)
+        n = net.num_vertices
+        part = Partition(net)
+        ids = []
+        for _ in range(300):
+            v = int(rng.integers(n))
+            if part.assignment[v] == Partition.UNASSIGNED and rng.random() < 0.2:
+                ids.append(part.new_community(v))
+            elif ids:
+                k = ids[int(rng.integers(len(ids)))]
+                if k in part.communities and part.assignment[v] != k:
+                    part.move(v, k)
+            check(part)
+        check(stage1_agglomerate(net, part).partition)
+        check(part)  # stage 1 grows a copy, never the seeds' lists
+        labels = rng.integers(max(2, n // 8), size=n).tolist()
+        groups = [[v for v in rng.permutation(n).tolist() if labels[v] == g]
+                  for g in range(max(labels) + 1)]
+        check(Partition.from_communities(net, groups))
