@@ -7,7 +7,9 @@ Manifests are strict JSON (RFC 8259): an infinite number, such as
 ``--lambda inf``, is written as the string "inf" or "-inf".
 
 The numpy-backed modules are imported by the commands that use them, so
-``evaluate`` starts without numpy.
+``evaluate`` starts without numpy. ``main`` caps OpenBLAS at one thread
+before numpy loads, unless the caller set ``OPENBLAS_NUM_THREADS``, so no
+command runs a second OS thread.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ def resolve_threads(requested: int | None) -> int:
     if requested < 1:
         raise ValueError("thread count must be >= 1")
     return requested
+
+
+def _flag(flag: str, value, check):
+    """``check(value)``, its ``ValueError`` reported as a usage error under ``flag``."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}, got {value!r}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser, *, threads: bool = False,
@@ -347,7 +357,7 @@ def _write_evaluation_tsv(out: Path, sections: dict) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    evaluator.check_match_threshold(args.threshold)  # validate before any work
+    _flag("--threshold", args.threshold, evaluator.check_match_threshold)  # before any work
     out = Path(args.output)
     if not args.catalogue and not args.annotations:
         raise UsageError("evaluate needs --catalogue and/or --annotations")
@@ -374,7 +384,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     config = _hub_config(args)
-    evaluator.check_match_threshold(args.threshold)
+    _flag("--threshold", args.threshold, evaluator.check_match_threshold)
     out = Path(args.output)
     proteins, network, build_summary = _run_build(args)
     inputs = _inputs(args, "ppi", "ged", "mapping", "catalogue", "annotations")
@@ -428,6 +438,8 @@ def cmd_gen_synthetic(args) -> int:
         p_out=args.p_out,
         seed=args.seed,
     )
+    if not syn.network.edge_count:
+        raise UsageError("the drawn network has no edge, so no command could read the fixture")
     labels = syn.proteins.labels
     ppi_lines = [f"{labels[i]}\t{labels[j]}" for i, j, _ in syn.network.edges()]
     fileio.atomic_write_text(out / "ppi.tsv", "\n".join(ppi_lines) + "\n")
@@ -464,12 +476,16 @@ def _check_output(output: str) -> None:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # wppi calls no BLAS routine, yet the workers OpenBLAS starts as numpy loads spin on
+        # the cores the serial work needs. A value the caller set wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_output(args.output)
         if hasattr(args, "threads"):
-            args.threads = resolve_threads(args.threads)  # recorded only
+            args.threads = _flag("--threads", args.threads, resolve_threads)  # recorded only
         return _COMMANDS[args.command](args)
     except (UsageError, fileio.InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

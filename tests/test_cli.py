@@ -545,6 +545,13 @@ class TestGenSynthetic:
         assert "--samples must be 0 or at least 2" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("argv", [("--blocks", "1"), ("--blocks", "2", "--p-in", "0"),
+                                      ("--blocks", "3,3", "--p-in", "0", "--p-out", "0")])
+    def test_network_without_edges_is_usage_error(self, tmp_path, capsys, argv):
+        assert run("gen-synthetic", "--output", tmp_path / "s", *argv) == 2
+        assert "the drawn network has no edge" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestExitCodes:
     @staticmethod
@@ -599,7 +606,7 @@ class TestExitCodes:
             assert f"error: {flag}: " in capsys.readouterr().err, argv
             assert not out.exists(), argv
 
-    @pytest.mark.parametrize("value", ["0", "nan", "1.5"])
+    @pytest.mark.parametrize("value", ["0", "nan", "1.5", "2"])
     def test_bad_match_threshold_is_usage_error_before_any_output(self, toy, toy_run, capsys,
                                                                    value):
         out = toy["out"] / "bad"
@@ -607,7 +614,19 @@ class TestExitCodes:
                      ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"])]:
             assert run(*argv, "--catalogue", toy["catalogue"], "--threshold", value,
                        "--output", out) == 2, argv[0]
-            assert "threshold must lie in (0, 1]" in capsys.readouterr().err
+            assert (f"error: --threshold: threshold must lie in (0, 1], got {float(value)!r}"
+                    in capsys.readouterr().err), argv[0]
+            assert not out.exists(), argv[0]
+
+    def test_zero_threads_names_its_flag(self, toy, toy_run, capsys):
+        out = toy["out"] / "bad"
+        for argv in [("build-wppi", "--ppi", toy["ppi"], "--ged", toy["ged"]),
+                     ("evaluate", "--communities", toy_run / "communities.tsv",
+                      "--catalogue", toy["catalogue"]),
+                     ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"])]:
+            assert run(*argv, "--threads", "0", "--output", out) == 2, argv[0]
+            assert "error: --threads: thread count must be >= 1, got 0" in \
+                capsys.readouterr().err, argv[0]
             assert not out.exists(), argv[0]
 
     def test_infinite_thresholds_are_valid(self, toy):
@@ -738,6 +757,48 @@ class TestStartup:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert (toy["out"] / "p" / "communities.tsv").exists()
+
+    @staticmethod
+    def run_in_child(script: str, **env) -> None:
+        """Run ``script`` under a fresh interpreter, no BLAS thread count inherited."""
+        import subprocess
+        import sys
+
+        blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        base = {k: v for k, v in os.environ.items() if k not in blas}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**base, "PYTHONPATH": src, **env})
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    @pytest.mark.parametrize("command", ["build-wppi", "detect", "pipeline", "gen-synthetic"])
+    def test_no_command_starts_an_os_thread(self, toy, toy_run, command):
+        # numpy's OpenBLAS starts its workers natively, out of reach of threading.Thread.
+        out = str(toy["out"] / command)
+        argv = {"build-wppi": ["--ppi", str(toy["ppi"]), "--ged", str(toy["ged"])],
+                "detect": ["--wppi", str(toy_run / "wppi.tsv")],
+                "pipeline": ["--ppi", str(toy["ppi"]), "--ged", str(toy["ged"]),
+                             "--catalogue", str(toy["catalogue"])],
+                "gen-synthetic": ["--blocks", "6,6"]}[command]
+        self.run_in_child("import os\nfrom wppi import cli\n"
+                          f"assert cli.main({[command, *argv, '--output', out]!r}) == 0\n"
+                          "tasks = os.listdir('/proc/self/task')\n"
+                          "assert len(tasks) == 1, f'{len(tasks)} OS threads'\n")
+
+    def test_user_set_blas_thread_count_wins(self, toy):
+        argv = ["build-wppi", "--ppi", str(toy["ppi"]), "--ged", str(toy["ged"]),
+                "--output", str(toy["out"] / "b")]
+        self.run_in_child("import os\nfrom wppi import cli\n"
+                          f"assert cli.main({argv!r}) == 0\n"
+                          "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n",
+                          OPENBLAS_NUM_THREADS="2")
+
+    def test_in_process_caller_environment_is_left_alone(self, toy, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run("build-wppi", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--output", toy["out"] / "b") == 0  # numpy is already loaded here
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_build_and_pipeline_never_import_numpy_ma(self, toy):
         import subprocess
