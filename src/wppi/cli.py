@@ -432,10 +432,10 @@ def cmd_gen_synthetic(args) -> int:
         raise UsageError("--blocks must name at least one block size")
     syn = synthetic.planted_partition(
         blocks,
-        w_in=_parse_pair(args.w_in, "--w-in"),
-        w_out=_parse_pair(args.w_out, "--w-out"),
-        p_in=args.p_in,
-        p_out=args.p_out,
+        w_in=_flag("--w-in", _parse_pair(args.w_in, "--w-in"), synthetic.check_weight_range),
+        w_out=_flag("--w-out", _parse_pair(args.w_out, "--w-out"), synthetic.check_weight_range),
+        p_in=_flag("--p-in", args.p_in, synthetic.check_probability),
+        p_out=_flag("--p-out", args.p_out, synthetic.check_probability),
         seed=args.seed,
     )
     if not syn.network.edge_count:
@@ -487,7 +487,9 @@ def main(argv=None) -> int:
         if hasattr(args, "threads"):
             args.threads = _flag("--threads", args.threads, resolve_threads)  # recorded only
         return _COMMANDS[args.command](args)
-    except (UsageError, fileio.InputError, FileNotFoundError, ValueError) as exc:
+    except (UsageError, fileio.InputError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
+        # A path that is not a readable file; any other OSError, such as a full disk, exits 1.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary of the process

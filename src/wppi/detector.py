@@ -95,8 +95,6 @@ def select_hubs(network: WeightedNetwork, config: HubConfig | None = None) -> Pa
     If nothing qualifies (all degrees equal, or the threshold sits above the
     maximum), every vertex is seeded instead.
     """
-    if network.num_vertices < 1:
-        raise ValueError("empty network")
     config = config or HubConfig()
     threshold = config.hub_threshold
     if threshold is None:
@@ -112,7 +110,7 @@ def select_hubs(network: WeightedNetwork, config: HubConfig | None = None) -> Pa
 
 def community_modularity(partition: Partition, k: int) -> float:
     """Ratio of a community's internal weight sum to its boundary weight sum."""
-    if k not in partition.communities or not partition.communities[k]:
+    if k not in partition.communities:
         raise ValueError("empty community")
     return _q(partition.internal_sum[k], partition.external_sum[k])
 
@@ -197,14 +195,15 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     entry appears or disappears, that is in the re-sum and for the moved
     vertex itself. A candidate's score in k reads k's sums, its weight into
     k and its own leave term. A move changes the first two only for the
-    target and the source, which are rescanned in full at their next visit,
-    and the leave terms only of their members. A community whose last visit
-    found no move had no candidate with a positive gain, and float addition
-    rounds monotonically, so a candidate whose leave term did not rise still
-    has none. Such a community therefore keeps a ``touched`` set, created on
-    first use, of the candidates whose leave term rose, and its next visit
-    scores those alone; with none it is not visited. ``evaluations`` counts
-    the candidates scored.
+    target and the source, and the leave terms only of their members. A
+    community whose last visit found no move had no candidate with a
+    positive gain, and float addition rounds monotonically, so a candidate
+    whose leave term did not rise still has none. One ``pending`` map holds
+    what each community's next visit scores: the whole frontier (``None``)
+    for every seed and for both communities of a move, otherwise the set of
+    candidates whose leave term rose since the last visit; a community
+    absent from it is not visited. ``evaluations`` counts the candidates
+    scored.
     """
     partition = seeds.copy()
     adj, adj_w = network.adjacency_lists()
@@ -217,6 +216,10 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     eps = SATURATION_EPS
 
     links: list[dict[int, float]] = []
+    # Unassigned vertices leave nothing; adding 0.0 to a join term cannot
+    # change how it compares.
+    leave = [0.0] * network.num_vertices
+    frontier: dict[int, set[int]] = {k: set() for k in communities}
     for v in range(network.num_vertices):
         weights: dict[int, float] = {}
         for u, w in zip(adj[v], adj_w[v]):
@@ -224,24 +227,16 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             if c != unassigned:
                 weights[c] = weights.get(c, 0.0) + w
         links.append(weights)
-    # Unassigned vertices leave nothing; adding 0.0 to a join term cannot
-    # change how it compares.
-    leave = [0.0] * network.num_vertices
-    frontier: dict[int, set[int]] = {k: set() for k in communities}
-    for v in range(network.num_vertices):
         own = assign[v]
         if own != unassigned:
             leave[v] = _leave_term(internal[own], external[own], len(communities[own]),
-                                   links[v].get(own, 0.0), degree[v])
-        for c in links[v]:
+                                   weights.get(own, 0.0), degree[v])
+        for c in weights:
             if c != own:
                 frontier[c].add(v)
-    dirty = set(communities)  # rescanned in full at the next visit
-    # A clean community's candidates whose leave term rose since its last
-    # visit. Marks go only to clean communities and a full rescan drops the
-    # set, so it stays inside the frontier: leaving it takes a move into or
-    # out of the community, which makes it dirty.
-    touched: dict[int, set[int]] = {}
+    # None scores the whole frontier, a set only its marks. A move sets None
+    # on its two communities, so marks stay in the frontier: only a move leaves it.
+    pending: dict[int, set[int] | None] = dict.fromkeys(communities)
 
     sweeps = evaluations = moves = steals = 0
     hit_cap = False
@@ -252,16 +247,12 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             hit_cap = True
             break
         sweeps += 1
-        changed = False
         for k in partition.community_ids():
-            if k in dirty:
-                dirty.discard(k)
-                touched.pop(k, None)
+            if k not in pending:
+                continue  # nothing to score, or emptied by a steal earlier in this sweep
+            candidates = pending.pop(k)
+            if candidates is None:
                 candidates = frontier[k]
-            elif k in touched:
-                candidates = touched.pop(k)
-            else:
-                continue  # clean, or emptied by a steal earlier in this sweep
             evaluations += len(candidates)
             internal_k = internal[k]
             external_k = external[k]
@@ -283,7 +274,6 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
             if best_v is None:
                 continue
             moves += 1
-            changed = True
             v = best_v
             src = assign[v]
             src_members = communities.get(src, ())  # read first: detach may delete it
@@ -294,8 +284,7 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
                 left = frontier[src]
                 if partition.detach(v, links[v].get(src, 0.0)):
                     del frontier[src]
-                    dirty.discard(src)
-                    touched.pop(src, None)
+                    pending.pop(src, None)
                 elif src in links[v]:
                     left.add(v)
             partition.attach(v, k, links[v][k])
@@ -349,11 +338,11 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
                     left.discard(u)
             # The sums of src and k changed for their members, whose leave
             # terms (_leave_term written out) are the only ones that read
-            # them. A member whose term rose is marked in the clean
-            # communities it is a candidate of.
-            dirty.add(k)
+            # them. A member whose term rose is marked in the communities it
+            # is a candidate of that are not already rescanned in full.
+            pending[k] = None
             if src in communities:
-                dirty.add(src)
+                pending[src] = None
             for c in (k, src):
                 if c not in communities:
                     continue
@@ -372,14 +361,12 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
                     term = q_new - q_old
                     if term > leave[u]:
                         for c2 in links[u]:
-                            if c2 not in dirty:
-                                marks = touched.get(c2)
-                                if marks is None:
-                                    touched[c2] = {u}
-                                else:
-                                    marks.add(u)
+                            if c2 not in pending:
+                                pending[c2] = {u}
+                            elif (marks := pending[c2]) is not None:
+                                marks.add(u)
                     leave[u] = term
-        if not changed:
+        if not pending:  # only a move adds an entry, so this sweep moved nothing
             break
     seeded = tuple(partition.community_ids())
     promoted = tuple(v for v in range(network.num_vertices)
@@ -498,12 +485,15 @@ def functional_cohesion(compressed: CompressedNetwork,
 
 @dataclass
 class _Group:
-    """A stage-2 group with its internal super-edge count and weight."""
+    """A stage-2 group: members, internal super-edge count and weight, summed
+    mean neighbour weight, and ``row``, which maps each adjacent group to the
+    ``[count, weight]`` cell of their super-edges, shared by both rows."""
 
     members: list[int]
     edge_count: int
     internal_weight: float
     mnw_sum: float
+    row: dict[int, list]
 
 
 @dataclass
@@ -531,10 +521,10 @@ def stage2_refine(compressed: CompressedNetwork,
     connected and has internal edges. A union whose mean-neighbor-weight sum
     is 0 has internal weight 0 too and is rejected.
 
-    The super-edges between two groups are kept as one ``[count, weight]``
-    cell that both groups' adjacency rows share, set up from the neighbour
-    rows in sorted (a, b) order, so a union test reads the pair's cross
-    edges in O(1). A merge folds the absorbed group's row into the
+    Each group's ``row`` holds one ``[count, weight]`` cell per adjacent
+    group, shared with that group's row and set up from the neighbour rows
+    in sorted (a, b) order, so a union test reads the pair's cross edges in
+    O(1). A merge drops the absorbed group and folds its row into the
     survivor's: a cell the survivor lacks is re-keyed, and one it has adds
     the absorbed cell, which also updates the third group's row.
     """
@@ -543,13 +533,12 @@ def stage2_refine(compressed: CompressedNetwork,
     k = compressed.num_vertices
     neighbors = compressed.neighbors
     assign = list(range(k))
-    groups = {sv: _Group([sv], 0, 0.0, float(compressed.mean_neighbor_weight[sv]))
+    groups = {sv: _Group([sv], 0, 0.0, float(compressed.mean_neighbor_weight[sv]), {})
               for sv in range(k)}
-    adjacency: list[dict[int, list]] = [{} for _ in range(k)]
     for a, row in enumerate(neighbors):
         for b, w in row.items():
             if b > a:
-                adjacency[a][b] = adjacency[b][a] = [1, w]
+                groups[a].row[b] = groups[b].row[a] = [1, w]
     order = sorted(range(k), key=lambda sv: (-float(compressed.degrees[sv]), sv))
 
     passes = 0
@@ -559,7 +548,7 @@ def stage2_refine(compressed: CompressedNetwork,
         changed = False
         for sv in order:
             home = assign[sv]
-            row = adjacency[home]
+            row = groups[home].row
             for u in neighbors[sv]:
                 other = assign[u]
                 if other == home:
@@ -580,10 +569,10 @@ def stage2_refine(compressed: CompressedNetwork,
                 a.edge_count, a.internal_weight, a.mnw_sum = e, iw, mnw
                 del groups[other]
                 del row[other]
-                for c, cell in adjacency[other].items():
+                for c, cell in b.row.items():
                     if c == home:
                         continue
-                    third = adjacency[c]
+                    third = groups[c].row
                     del third[other]
                     shared = row.get(c)
                     if shared is None:
@@ -591,7 +580,6 @@ def stage2_refine(compressed: CompressedNetwork,
                     else:
                         shared[0] += cell[0]
                         shared[1] += cell[1]
-                adjacency[other] = {}
                 changed = True
     return Stage2Result(groups={gid: set(g.members) for gid, g in groups.items()},
                         passes=passes)
@@ -619,8 +607,6 @@ class DetectionResult:
 
 def detect(network: WeightedNetwork, config: HubConfig | None = None) -> DetectionResult:
     """Run the full two-stage detection and report per-community metrics."""
-    if network.num_vertices < 1:
-        raise ValueError("empty network")
     config = config or HubConfig()
     threshold = config.hub_threshold
     if threshold is None:

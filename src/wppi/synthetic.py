@@ -26,6 +26,20 @@ class SyntheticNetwork:
         return PpiNetwork(net.num_vertices, net.edge_src, net.edge_dst)
 
 
+def check_probability(p: float) -> float:
+    """``p`` if it lies in [0, 1]; NaN fails the test too."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("edge probabilities must lie in [0, 1]")
+    return p
+
+
+def check_weight_range(pair: tuple[float, float]) -> tuple[float, float]:
+    """``pair`` if it is a range (low, high) with 0 <= low <= high <= 1."""
+    if not 0.0 <= pair[0] <= pair[1] <= 1.0:
+        raise ValueError("weight ranges must satisfy 0 <= low <= high <= 1")
+    return pair
+
+
 def planted_partition(block_sizes: list[int],
                       w_in: tuple[float, float] = (0.8, 1.0),
                       w_out: tuple[float, float] = (0.0, 0.1),
@@ -39,11 +53,8 @@ def planted_partition(block_sizes: list[int],
     """
     if not block_sizes or any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive")
-    for lo, hi in (w_in, w_out):
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError("weight ranges must satisfy 0 <= low <= high <= 1")
-    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):  # NaN fails too
-        raise ValueError("edge probabilities must lie in [0, 1]")
+    w_in, w_out = check_weight_range(w_in), check_weight_range(w_out)
+    p_in, p_out = check_probability(p_in), check_probability(p_out)
     rng = np.random.default_rng(seed)
     n = sum(block_sizes)
     block_of = np.empty(n, dtype=np.int64)

@@ -533,10 +533,14 @@ class TestGenSynthetic:
         assert run("gen-synthetic", "--output", tmp_path, "--blocks", "ten") == 2
 
     @pytest.mark.parametrize("flag, value", [("--p-in", "nan"), ("--p-out", "nan"),
-                                             ("--p-in", "1.5"), ("--p-out", "-0.5")])
-    def test_edge_probability_outside_unit_interval_is_usage_error(self, tmp_path, flag,
-                                                                    value):
+                                             ("--p-in", "1.5"), ("--p-out", "-0.5"),
+                                             ("--w-in", "0.9,0.2"), ("--w-out", "0,nan"),
+                                             ("--w-in", "nan,0.5"), ("--w-out", "0.5,1.5")])
+    def test_edge_probability_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                                    flag, value):
+        # Weight ranges, whose ends must lie in [0, 1] too, take the same route.
         assert run("gen-synthetic", "--output", tmp_path / "s", flag, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("samples", ["1", "-3"])
@@ -617,6 +621,37 @@ class TestExitCodes:
             assert (f"error: --threshold: threshold must lie in (0, 1], got {float(value)!r}"
                     in capsys.readouterr().err), argv[0]
             assert not out.exists(), argv[0]
+
+    def test_input_path_that_is_not_a_file_is_input_error(self, toy, toy_run, capsys):
+        # build-wppi reads --ppi with numpy loaded; evaluate reads --annotations without it.
+        folder = toy["out"] / "folder"
+        folder.mkdir()
+        out = toy["out"] / "bad"
+        for argv, path in [(("build-wppi", "--ppi", folder, "--ged", toy["ged"]), folder),
+                           (("build-wppi", "--ppi", toy["ppi"] / "x", "--ged", toy["ged"]),
+                            toy["ppi"] / "x"),
+                           (("evaluate", "--communities", toy_run / "communities.tsv",
+                             "--annotations", folder), folder)]:
+            assert run(*argv, "--output", out) == 2, argv
+            assert str(path) in capsys.readouterr().err, argv
+            assert not out.exists(), argv
+
+    @pytest.mark.parametrize("error, code", [
+        (PermissionError(13, "Permission denied", "ppi.tsv"), 2),
+        (OSError(28, "No space left on device", "ppi.tsv"), 1),
+    ], ids=["unreadable", "disk-full"])
+    def test_unreadable_input_is_input_error_other_os_errors_fail(self, toy, monkeypatch,
+                                                                   capsys, error, code):
+        # Permission bits do not stop root, so the unreadable file is simulated.
+        import wppi.fileio
+
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(wppi.fileio, "load_ppi", refuse)
+        assert run("build-wppi", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                   "--output", toy["out"] / "bad") == code
+        assert "ppi.tsv" in capsys.readouterr().err
 
     def test_zero_threads_names_its_flag(self, toy, toy_run, capsys):
         out = toy["out"] / "bad"

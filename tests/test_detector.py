@@ -259,14 +259,17 @@ class TestStage1MatchesReference:
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_blocks_seeded_at_a_high_percentile(self, seed):
         # Six seeds grow over dense blocks: frontiers span much of the graph,
-        # steals are frequent, a clean community's visits score only its
-        # touched candidates (150-240 such visits per seed), and the re-sums
-        # mostly walk the member lists.
+        # steals are frequent, many visits score only the candidates whose
+        # leave term rose (150-240 such visits per seed), and the re-sums
+        # mostly walk the member lists. The reference bounds evaluations
+        # only from above; the counters pin that partial-visit path exactly.
         net, _ = scale_network(300, seed, block_size=50, p_in=0.5, cross_per_vertex=6)
         config = HubConfig(hub_threshold=float(np.percentile(net.degrees, 97)))
         result, evaluations = self.assert_same(net, config)
         assert len(result.seeded_ids) < 10 and result.steals > 0
         assert result.evaluations < evaluations
+        assert (result.sweeps, result.evaluations, result.moves, result.steals) == \
+            [(98, 90_979, 481, 190), (85, 78_298, 423, 132), (81, 79_733, 432, 141)][seed]
 
 
 class TestCompress:
@@ -434,6 +437,13 @@ class TestStage2MatchesReference:
     def test_planted_fixture(self):
         syn = planted_partition([20] * 30, p_in=0.4, p_out=0.005, w_out=(0.0, 0.5), seed=1)
         assert self.assert_same(_stage1_compressed(syn.network)) > 0
+
+    def test_dense_preset_where_nearly_every_group_merges(self):
+        # At each of the four lambdas all 192 super-vertices end in one group:
+        # 191 merges, each folding the absorbed group's row into the survivor's.
+        comp = _stage1_compressed(scale_network(600, 0, **DENSE)[0])
+        assert comp.num_vertices == 192
+        assert self.assert_same(comp) == 764
 
 
 def _value_or_error(function, *args):
