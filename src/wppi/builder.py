@@ -46,6 +46,13 @@ def _fold_sum(values: np.ndarray) -> float:
     return float(np.cumsum(partials)[-1])
 
 
+def check_default_weight(weight: float | None) -> float | None:
+    """``weight`` if it is None (the matched-edge mean) or lies in [0, 1]; NaN fails."""
+    if weight is not None and not 0.0 <= weight <= 1.0:
+        raise ValueError("default weight must lie in [0, 1]")
+    return weight
+
+
 def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix,
                mapping: dict[str, str] | None = None,
                default_weight: float | None = None,
@@ -77,9 +84,7 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
     zero_variance_edges = int(np.sum(zero_var[row_i[matched_idx]] | zero_var[row_j[matched_idx]]))
 
     # Fallback: mean |correlation| over matched edges in canonical order.
-    if default_weight is not None:
-        if not 0.0 <= default_weight <= 1.0:
-            raise ValueError("default weight must lie in [0, 1]")
+    if check_default_weight(default_weight) is not None:
         fallback = float(default_weight)
     else:
         pool = abs_corr[abs_corr != 0.0] if zero_as_unmatched else abs_corr

@@ -1,8 +1,11 @@
 """Command-line entry point: ingestion, orchestration, and report emission.
 
 Exit codes: 0 on success, 1 for computation failures, 2 for usage or input
-errors. Every emitted manifest embeds the full effective configuration and
-a sha256 of each input file, so a report is reproducible from its inputs.
+errors. A flag value that breaks its rule prints one line, ``error: <flag>:
+<rule>, got <value>``, before any input is read or any file is written; the
+rule is checked once, by the library module that uses the value. Every
+emitted manifest embeds the full effective configuration and a sha256 of
+each input file, so a report is reproducible from its inputs.
 Manifests are strict JSON (RFC 8259): an infinite number, such as
 ``--lambda inf``, is written as the string "inf" or "-inf".
 
@@ -73,7 +76,7 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
 def _add_detect_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d-alpha", type=float, default=None,
                         help="hub weighted-degree threshold (default: mean degree)")
-    parser.add_argument("--lambda", dest="cohesion", type=float, default=2.0,
+    parser.add_argument("--lambda", type=float, default=2.0,
                         help="functional-cohesion threshold (default: 2.0)")
 
 
@@ -138,10 +141,8 @@ def _inputs(args, *names: str) -> dict:
 
 
 def _manifest(args, inputs: dict, **sections) -> dict:
-    """Manifest with every parsed flag as config (``--lambda`` under ``lambda``)."""
-    config = {"lambda" if name == "cohesion" else name: value
-              for name, value in vars(args).items()}
-    return {"tool": "wppi", "version": __version__, "config": config, "inputs": inputs,
+    """Manifest with every parsed flag as config."""
+    return {"tool": "wppi", "version": __version__, "config": vars(args), "inputs": inputs,
             **sections}
 
 
@@ -190,8 +191,7 @@ def _run_build(args):
     from . import builder
     from .expression import quantile_normalize
 
-    if args.default_weight is not None and not 0.0 <= args.default_weight <= 1.0:
-        raise UsageError(f"--default-weight must lie in [0, 1], got {args.default_weight!r}")
+    _flag("--default-weight", args.default_weight, builder.check_default_weight)
     proteins, ppi = fileio.load_ppi(args.ppi)
     matrix = fileio.load_expression(args.ged)
     matrix = quantile_normalize(matrix)
@@ -266,14 +266,12 @@ def _detect_on(network, proteins, config):
 
 
 def _hub_config(args):
-    """Detector thresholds, a bad one reported under its flag before any input is read."""
+    """Detector thresholds, each checked by ``HubConfig`` and reported under its flag."""
     from . import detector
 
-    if args.d_alpha is not None and not args.d_alpha >= 0:  # NaN fails this and the next test
-        raise UsageError(f"--d-alpha: hub threshold must be >= 0, got {args.d_alpha!r}")
-    if not args.cohesion > 0:
-        raise UsageError(f"--lambda: cohesion threshold must be > 0, got {args.cohesion!r}")
-    return detector.HubConfig(args.d_alpha, args.cohesion)
+    hubs = _flag("--d-alpha", args.d_alpha, lambda v: detector.HubConfig(hub_threshold=v))
+    return _flag("--lambda", vars(args)["lambda"],
+                 lambda v: detector.HubConfig(hubs.hub_threshold, v))
 
 
 def cmd_detect(args) -> int:
@@ -408,38 +406,28 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects two comma-separated numbers")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+def _numbers(text: str, kind=float) -> list:
+    """The comma-separated numbers in ``text``; empty items are skipped, so "" gives []."""
+    return [kind(x) for x in text.split(",") if x]
 
 
 def cmd_gen_synthetic(args) -> int:
     from . import synthetic
 
-    if args.samples != 0 and args.samples < 2:
-        raise UsageError("--samples must be 0 or at least 2")
     out = Path(args.output)
-    try:
-        blocks = [int(b) for b in args.blocks.split(",") if b]
-    except ValueError as exc:
-        raise UsageError(f"--blocks: {exc}") from exc
-    if not blocks:
-        raise UsageError("--blocks must name at least one block size")
     syn = synthetic.planted_partition(
-        blocks,
-        w_in=_flag("--w-in", _parse_pair(args.w_in, "--w-in"), synthetic.check_weight_range),
-        w_out=_flag("--w-out", _parse_pair(args.w_out, "--w-out"), synthetic.check_weight_range),
+        _flag("--blocks", args.blocks, lambda t: synthetic.check_block_sizes(_numbers(t, int))),
+        w_in=_flag("--w-in", args.w_in, lambda t: synthetic.check_weight_range(_numbers(t))),
+        w_out=_flag("--w-out", args.w_out, lambda t: synthetic.check_weight_range(_numbers(t))),
         p_in=_flag("--p-in", args.p_in, synthetic.check_probability),
         p_out=_flag("--p-out", args.p_out, synthetic.check_probability),
         seed=args.seed,
     )
     if not syn.network.edge_count:
         raise UsageError("the drawn network has no edge, so no command could read the fixture")
+    if args.samples:  # 0 writes no ged.tsv; the rows are drawn before any file is written
+        names, values = _flag("--samples", args.samples,
+                              lambda n: synthetic.block_expression(syn, n, seed=args.seed))
     labels = syn.proteins.labels
     ppi_lines = [f"{labels[i]}\t{labels[j]}" for i, j, _ in syn.network.edges()]
     fileio.atomic_write_text(out / "ppi.tsv", "\n".join(ppi_lines) + "\n")
@@ -448,7 +436,6 @@ def cmd_gen_synthetic(args) -> int:
                    for b, block in enumerate(syn.blocks)]
     fileio.atomic_write_text(out / "truth.tsv", "\n".join(truth_lines) + "\n")
     if args.samples:
-        names, values = synthetic.block_expression(syn, args.samples, seed=args.seed)
         header = "gene_id\t" + "\t".join(f"S{k + 1}" for k in range(args.samples))
         lines = [header]
         for label, row in zip(names, values):

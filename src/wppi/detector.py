@@ -37,7 +37,7 @@ STAGE1_SWEEP_CAP = 10_000
 
 @dataclass
 class HubConfig:
-    """Detector thresholds.
+    """Detector thresholds, checked on construction (the CLI's ``--d-alpha`` and ``--lambda``).
 
     ``hub_threshold`` is the weighted-degree cutoff for seeding (mean
     weighted degree when None). ``cohesion_threshold`` is the stage-2
@@ -52,9 +52,9 @@ class HubConfig:
     def __post_init__(self):
         # Written so that NaN, which fails every comparison, is rejected; inf passes.
         if self.hub_threshold is not None and not self.hub_threshold >= 0:
-            raise ValueError(f"hub threshold must be >= 0, got {self.hub_threshold!r}")
+            raise ValueError("hub threshold must be >= 0")
         if not self.cohesion_threshold > 0:
-            raise ValueError(f"cohesion threshold must be > 0, got {self.cohesion_threshold!r}")
+            raise ValueError("cohesion threshold must be > 0")
 
 
 def _q(internal: float, external: float) -> float:

@@ -35,9 +35,16 @@ def check_probability(p: float) -> float:
 
 def check_weight_range(pair: tuple[float, float]) -> tuple[float, float]:
     """``pair`` if it is a range (low, high) with 0 <= low <= high <= 1."""
-    if not 0.0 <= pair[0] <= pair[1] <= 1.0:
-        raise ValueError("weight ranges must satisfy 0 <= low <= high <= 1")
+    if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] <= 1.0:
+        raise ValueError("weight ranges must be pairs (low, high) with 0 <= low <= high <= 1")
     return pair
+
+
+def check_block_sizes(sizes: list[int]) -> list[int]:
+    """``sizes`` if it names at least one block and every size is >= 1."""
+    if not sizes or any(b < 1 for b in sizes):
+        raise ValueError("block sizes must be one or more integers >= 1")
+    return sizes
 
 
 def planted_partition(block_sizes: list[int],
@@ -51,8 +58,7 @@ def planted_partition(block_sizes: list[int],
     Every vertex pair is visited in ascending order with a fixed RNG call
     pattern, so a given seed always yields the same graph.
     """
-    if not block_sizes or any(b < 1 for b in block_sizes):
-        raise ValueError("block sizes must be positive")
+    block_sizes = check_block_sizes(block_sizes)
     w_in, w_out = check_weight_range(w_in), check_weight_range(w_out)
     p_in, p_out = check_probability(p_in), check_probability(p_out)
     rng = np.random.default_rng(seed)
@@ -90,7 +96,7 @@ def block_expression(synthetic: SyntheticNetwork, samples: int,
     correlation is near zero.
     """
     if samples < 2:
-        raise ValueError("insufficient samples")
+        raise ValueError("insufficient samples (need at least 2)")
     rng = np.random.default_rng(seed + 1)
     n = synthetic.network.num_vertices
     values = np.empty((n, samples), dtype=np.float64)

@@ -95,6 +95,10 @@ class TestBuildWppi:
         result = build_wppi(proteins, ppi, matrix, default_weight=0.25)
         (_, _, w), = result.network.edges()
         assert w == 0.25
+        for bad in (2.0, -0.5, float("nan")):
+            with pytest.raises(ValueError) as info:
+                build_wppi(proteins, ppi, matrix, default_weight=bad)
+            assert str(info.value) == "default weight must lie in [0, 1]"
 
     def test_triangle_matches_serial_oracle(self):
         rng = np.random.default_rng(21)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wppi.cli import main, resolve_threads
+from wppi.cli import build_parser, main, resolve_threads
 
 DATA = Path(__file__).parent / "data"
 
@@ -31,6 +31,32 @@ def toy_run(toy):
     out = toy["out"] / "run"
     assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"], "--output", out) == 0
     return out
+
+
+def missing_input_runs(tmp_path, flag: str) -> dict:
+    """The argv of each command that takes ``flag``, every input pointing at a missing file."""
+    missing = tmp_path / "missing.tsv"
+    inputs = {"build-wppi": ("--ppi", missing, "--ged", missing),
+              "detect": ("--wppi", missing),
+              "evaluate": ("--communities", missing, "--catalogue", missing),
+              "pipeline": ("--ppi", missing, "--ged", missing),
+              "gen-synthetic": ()}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    runs = {name: (name, *inputs[name]) for name, parser in commands.items()
+            if flag in parser._option_string_actions}
+    assert runs, flag
+    return runs
+
+
+def assert_flag_error(capsys, argv, flag: str, value: str, out: Path) -> str:
+    """``argv`` with ``flag=value`` exits 2 with one ``error: <flag>: <rule>, got <value>`` line
+    and writes nothing; returns that line."""
+    assert run(*argv, f"{flag}={value}", "--output", out) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and ", got " in err, (argv, err)
+    assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    assert not out.exists(), argv
+    return err
 
 
 CONFIG_KEYS = {
@@ -96,13 +122,10 @@ class TestBuildCommand:
     @pytest.mark.parametrize("value", ["2", "-0.5", "nan"])
     def test_bad_default_weight_is_usage_error_before_any_input_is_read(self, toy, capsys,
                                                                         command, value):
-        # The PPI does not exist: the flag is reported first, so no input was opened.
-        out = toy["out"] / "w"
-        assert run(command, "--ppi", toy["out"] / "nope.tsv", "--ged", toy["ged"],
-                   "--default-weight", value, "--output", out) == 2
-        assert capsys.readouterr().err == \
-            f"error: --default-weight must lie in [0, 1], got {float(value)!r}\n"
-        assert not out.exists()
+        # The inputs do not exist: the flag is reported first, so no input was opened.
+        argv = missing_input_runs(toy["out"], "--default-weight")[command]
+        assert assert_flag_error(capsys, argv, "--default-weight", value, toy["out"] / "w") == \
+            f"error: --default-weight: default weight must lie in [0, 1], got {float(value)!r}\n"
 
 
 class TestDetectCommand:
@@ -529,25 +552,30 @@ class TestGenSynthetic:
         assert (tmp_path / "a" / "wppi.tsv").read_bytes() == \
             (tmp_path / "b" / "wppi.tsv").read_bytes()
 
-    def test_bad_blocks_usage_error(self, tmp_path):
-        assert run("gen-synthetic", "--output", tmp_path, "--blocks", "ten") == 2
+    def test_bad_blocks_usage_error(self, tmp_path, capsys):
+        # planted_partition's rule, reported under the flag; "" names no block.
+        for argv in missing_input_runs(tmp_path, "--blocks").values():
+            for value in ("ten", "1.5", "0,3", "-2", "", ","):
+                err = assert_flag_error(capsys, argv, "--blocks", value, tmp_path / "s")
+                assert err.endswith(f", got {value!r}\n"), err
 
     @pytest.mark.parametrize("flag, value", [("--p-in", "nan"), ("--p-out", "nan"),
                                              ("--p-in", "1.5"), ("--p-out", "-0.5"),
                                              ("--w-in", "0.9,0.2"), ("--w-out", "0,nan"),
-                                             ("--w-in", "nan,0.5"), ("--w-out", "0.5,1.5")])
+                                             ("--w-in", "nan,0.5"), ("--w-out", "0.5,1.5"),
+                                             ("--w-in", "0.9"), ("--w-out", "0,0.1,0.2"),
+                                             ("--w-in", "x,1"), ("--w-out", "")])
     def test_edge_probability_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
                                                                     flag, value):
-        # Weight ranges, whose ends must lie in [0, 1] too, take the same route.
-        assert run("gen-synthetic", "--output", tmp_path / "s", flag, value) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
-        assert not (tmp_path / "s").exists()
+        # Weight ranges, two numbers whose ends must lie in [0, 1] too, take the same route.
+        for argv in missing_input_runs(tmp_path, flag).values():
+            assert_flag_error(capsys, argv, flag, value, tmp_path / "s")
 
     @pytest.mark.parametrize("samples", ["1", "-3"])
     def test_sample_count_of_one_or_less_is_usage_error(self, tmp_path, capsys, samples):
-        assert run("gen-synthetic", "--output", tmp_path / "s", "--samples", samples) == 2
-        assert "--samples must be 0 or at least 2" in capsys.readouterr().err
-        assert not (tmp_path / "s").exists()
+        for argv in missing_input_runs(tmp_path, "--samples").values():
+            assert assert_flag_error(capsys, argv, "--samples", samples, tmp_path / "s") == \
+                f"error: --samples: insufficient samples (need at least 2), got {samples}\n"
 
     @pytest.mark.parametrize("argv", [("--blocks", "1"), ("--blocks", "2", "--p-in", "0"),
                                       ("--blocks", "3,3", "--p-in", "0", "--p-out", "0")])
@@ -598,29 +626,25 @@ class TestExitCodes:
             assert not out.exists(), argv[0]
 
     @pytest.mark.parametrize("flag, value", [("--lambda", "0"), ("--lambda", "nan"),
-                                             ("--d-alpha", "-1")])
+                                             ("--d-alpha", "-1"), ("--lambda", "-inf"),
+                                             ("--d-alpha", "nan"), ("--d-alpha", "-inf")])
     def test_bad_detector_threshold_names_its_flag_before_any_input(self, toy, toy_run, capsys,
                                                                    flag, value):
-        out = toy["out"] / "bad"
-        missing = toy["out"] / "missing.tsv"
-        runs = [*self.detecting_runs(toy, toy_run), ("detect", "--wppi", missing),
-                ("pipeline", "--ppi", missing, "--ged", missing)]
+        runs = [*self.detecting_runs(toy, toy_run), *missing_input_runs(toy["out"], flag).values()]
         for argv in runs:
-            assert run(*argv, flag, value, "--output", out) == 2, argv
-            assert f"error: {flag}: " in capsys.readouterr().err, argv
-            assert not out.exists(), argv
+            assert_flag_error(capsys, argv, flag, value, toy["out"] / "bad")
 
     @pytest.mark.parametrize("value", ["0", "nan", "1.5", "2"])
     def test_bad_match_threshold_is_usage_error_before_any_output(self, toy, toy_run, capsys,
                                                                    value):
-        out = toy["out"] / "bad"
-        for argv in [("evaluate", "--communities", toy_run / "communities.tsv"),
-                     ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"])]:
-            assert run(*argv, "--catalogue", toy["catalogue"], "--threshold", value,
-                       "--output", out) == 2, argv[0]
-            assert (f"error: --threshold: threshold must lie in (0, 1], got {float(value)!r}"
-                    in capsys.readouterr().err), argv[0]
-            assert not out.exists(), argv[0]
+        runs = [("evaluate", "--communities", toy_run / "communities.tsv",
+                 "--catalogue", toy["catalogue"]),
+                ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                 "--catalogue", toy["catalogue"]),
+                *missing_input_runs(toy["out"], "--threshold").values()]
+        for argv in runs:
+            assert assert_flag_error(capsys, argv, "--threshold", value, toy["out"] / "bad") \
+                == f"error: --threshold: threshold must lie in (0, 1], got {float(value)!r}\n"
 
     def test_input_path_that_is_not_a_file_is_input_error(self, toy, toy_run, capsys):
         # build-wppi reads --ppi with numpy loaded; evaluate reads --annotations without it.
@@ -654,15 +678,15 @@ class TestExitCodes:
         assert "ppi.tsv" in capsys.readouterr().err
 
     def test_zero_threads_names_its_flag(self, toy, toy_run, capsys):
-        out = toy["out"] / "bad"
-        for argv in [("build-wppi", "--ppi", toy["ppi"], "--ged", toy["ged"]),
-                     ("evaluate", "--communities", toy_run / "communities.tsv",
-                      "--catalogue", toy["catalogue"]),
-                     ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"])]:
-            assert run(*argv, "--threads", "0", "--output", out) == 2, argv[0]
-            assert "error: --threads: thread count must be >= 1, got 0" in \
-                capsys.readouterr().err, argv[0]
-            assert not out.exists(), argv[0]
+        runs = [("build-wppi", "--ppi", toy["ppi"], "--ged", toy["ged"]),
+                ("evaluate", "--communities", toy_run / "communities.tsv",
+                 "--catalogue", toy["catalogue"]),
+                ("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"]),
+                *missing_input_runs(toy["out"], "--threads").values()]
+        for argv in runs:
+            for value in ("0", "-1"):
+                assert assert_flag_error(capsys, argv, "--threads", value, toy["out"] / "bad") \
+                    == f"error: --threads: thread count must be >= 1, got {value}\n"
 
     def test_infinite_thresholds_are_valid(self, toy):
         # --d-alpha inf seeds every vertex; --lambda inf keeps stage 1's communities.

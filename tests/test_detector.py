@@ -69,6 +69,18 @@ class TestSelectHubs:
         seeds = select_hubs(two_triangles, HubConfig(hub_threshold=100.0))
         assert len(seeds.communities) == two_triangles.num_vertices
 
+    @pytest.mark.parametrize("kwargs, rule", [
+        ({"hub_threshold": float("nan")}, "hub threshold must be >= 0"),
+        ({"hub_threshold": -1.0}, "hub threshold must be >= 0"),
+        ({"cohesion_threshold": 0.0}, "cohesion threshold must be > 0"),
+        ({"cohesion_threshold": float("nan")}, "cohesion threshold must be > 0"),
+    ])
+    def test_bad_threshold_raises_its_rule(self, kwargs, rule):
+        # The message is the rule alone: the CLI adds the flag and the value.
+        with pytest.raises(ValueError) as info:
+            HubConfig(**kwargs)
+        assert str(info.value) == rule
+
     def test_bridge_endpoints_are_the_hubs(self, two_triangles):
         seeds = select_hubs(two_triangles)
         seeded = {next(iter(m)) for m in seeds.communities.values()}

@@ -41,10 +41,13 @@ class TestPlantedPartition:
             [(i, j) for i, j, _ in syn.network.edges()]
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="block sizes"):
-            planted_partition([])
-        with pytest.raises(ValueError, match="weight ranges"):
-            planted_partition([3, 3], w_in=(0.9, 0.2))
+        for sizes in ([], [0, 3], [-2]):
+            with pytest.raises(ValueError) as info:
+                planted_partition(sizes)
+            assert str(info.value) == "block sizes must be one or more integers >= 1"
+        for w_in in ((0.9, 0.2), (0.9,), (0.0, 0.5, 1.0)):
+            with pytest.raises(ValueError, match="weight ranges"):
+                planted_partition([3, 3], w_in=w_in)
         for p in (float("nan"), -0.1, 1.5):
             with pytest.raises(ValueError, match="edge probabilities"):
                 planted_partition([3, 3], p_in=p)
@@ -64,5 +67,7 @@ class TestBlockExpression:
 
     def test_requires_two_samples(self):
         syn = planted_partition([3, 3], seed=0)
-        with pytest.raises(ValueError, match="insufficient samples"):
-            block_expression(syn, samples=1)
+        for samples in (1, 0, -3):
+            with pytest.raises(ValueError) as info:
+                block_expression(syn, samples=samples)
+            assert str(info.value) == "insufficient samples (need at least 2)"
