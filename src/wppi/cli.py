@@ -1,11 +1,11 @@
 """Command-line entry point: ingestion, orchestration, and report emission.
 
 Exit codes: 0 on success, 1 for computation failures, 2 for usage or input
-errors. A flag value that breaks its rule prints one line, ``error: <flag>:
-<rule>, got <value>``, before any input is read or any file is written; the
-rule is checked once, by the library module that uses the value. Every
-emitted manifest embeds the full effective configuration and a sha256 of
-each input file, so a report is reproducible from its inputs.
+errors. A flag value that is not a number or breaks its rule prints one line,
+``error: <flag>: <rule>, got <value>``, before any input is read or any file
+is written; a rule is checked once, by the library module that uses the
+value. Every emitted manifest embeds the full effective configuration and a
+sha256 of each input file, so a report is reproducible from its inputs.
 Manifests are strict JSON (RFC 8259): an infinite number, such as
 ``--lambda inf``, is written as the string "inf" or "-inf".
 
@@ -52,12 +52,28 @@ def _flag(flag: str, value, check):
         raise UsageError(f"{flag}: {exc}, got {value!r}") from exc
 
 
+class _NotANumber(Exception):
+    """A typed flag's text that ``int`` or ``float`` rejects."""
+
+
+def _add_number(parser: argparse.ArgumentParser, flag: str, kind, **kwargs) -> None:
+    """Add a flag read as ``kind``. argparse reports a ``type``'s ``ValueError`` in its own
+    format, usage block included, but lets ``_NotANumber`` through to ``main``."""
+    def read(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            rule = "must be an integer" if kind is int else "must be a number"
+            raise _NotANumber(f"{flag}: {rule}, got {text!r}") from None
+    parser.add_argument(flag, type=read, **kwargs)
+
+
 def _add_common(parser: argparse.ArgumentParser, *, threads: bool = False,
                 report_format: bool = False) -> None:
     parser.add_argument("--output", required=True, help="output directory")
     if threads:
-        parser.add_argument("--threads", type=int, default=None,
-                            help="recorded only; every step is serial (default: core count)")
+        _add_number(parser, "--threads", int,
+                    help="recorded only; every step is serial (default: core count)")
     if report_format:
         parser.add_argument("--format", choices=("tsv", "json"), default="tsv",
                             help="report format")
@@ -67,24 +83,24 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ppi", required=True, help="interaction TSV")
     parser.add_argument("--ged", required=True, help="gene expression TSV")
     parser.add_argument("--mapping", help="protein-to-gene mapping TSV")
-    parser.add_argument("--default-weight", type=float, default=None,
-                        help="fixed weight for unmatched edges (default: mean of matched)")
+    _add_number(parser, "--default-weight", float,
+                help="fixed weight for unmatched edges (default: mean of matched)")
     parser.add_argument("--zero-as-unmatched", action="store_true",
                         help="give exactly-zero-correlation edges the fallback weight")
 
 
 def _add_detect_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d-alpha", type=float, default=None,
-                        help="hub weighted-degree threshold (default: mean degree)")
-    parser.add_argument("--lambda", type=float, default=2.0,
-                        help="functional-cohesion threshold (default: 2.0)")
+    _add_number(parser, "--d-alpha", float,
+                help="hub weighted-degree threshold (default: mean degree)")
+    _add_number(parser, "--lambda", float, default=2.0,
+                help="functional-cohesion threshold (default: 2.0)")
 
 
 def _add_evaluate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--catalogue", help="known-complex catalogue TSV")
     parser.add_argument("--annotations", help="protein annotation TSV")
-    parser.add_argument("--threshold", type=float, default=evaluator.DEFAULT_MATCH_THRESHOLD,
-                        help="overlap-score match threshold")
+    _add_number(parser, "--threshold", float, default=evaluator.DEFAULT_MATCH_THRESHOLD,
+                help="overlap-score match threshold")
     parser.add_argument("--annotated-universe", action="store_true",
                         help="enrich over annotated proteins only (population and communities)")
 
@@ -123,11 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", default="10,10", help="comma-separated block sizes")
     p.add_argument("--w-in", default="0.8,1.0", help="within-block weight range lo,hi")
     p.add_argument("--w-out", default="0.0,0.1", help="cross-block weight range lo,hi")
-    p.add_argument("--p-in", type=float, default=1.0, help="within-block edge probability")
-    p.add_argument("--p-out", type=float, default=1.0, help="cross-block edge probability")
-    p.add_argument("--samples", type=int, default=10,
-                   help="expression samples to synthesize (0 disables)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_number(p, "--p-in", float, default=1.0, help="within-block edge probability")
+    _add_number(p, "--p-out", float, default=1.0, help="cross-block edge probability")
+    _add_number(p, "--samples", int, default=10,
+                help="expression samples to synthesize (0 disables)")
+    _add_number(p, "--seed", int, default=0)
     _add_common(p)
 
     return parser
@@ -421,7 +437,7 @@ def cmd_gen_synthetic(args) -> int:
         w_out=_flag("--w-out", args.w_out, lambda t: synthetic.check_weight_range(_numbers(t))),
         p_in=_flag("--p-in", args.p_in, synthetic.check_probability),
         p_out=_flag("--p-out", args.p_out, synthetic.check_probability),
-        seed=args.seed,
+        seed=_flag("--seed", args.seed, synthetic.check_seed),
     )
     if not syn.network.edge_count:
         raise UsageError("the drawn network has no edge, so no command could read the fixture")
@@ -468,14 +484,14 @@ def main(argv=None) -> int:
         # the cores the serial work needs. A value the caller set wins.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # a typed flag's bad text raises _NotANumber here
         _check_output(args.output)
         if hasattr(args, "threads"):
             args.threads = _flag("--threads", args.threads, resolve_threads)  # recorded only
         return _COMMANDS[args.command](args)
-    except (UsageError, fileio.InputError, ValueError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
+    except (ValueError, _NotANumber, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         # A path that is not a readable file; any other OSError, such as a full disk, exits 1.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -174,8 +174,8 @@ def stage1_agglomerate(network: WeightedNetwork, seeds: Partition,
     cap), any vertex still unassigned becomes its own singleton community so
     the returned partition is total.
 
-    Stage 1 is serial; ``threads`` is ignored and kept only because the
-    benchmark's traced run (``perfbench/traced.py``) passes it. Each
+    Stage 1 is serial; ``config`` and ``threads`` are ignored, kept only
+    because ``perfbench/traced.py`` passes them (``config`` positionally). Each
     candidate is scored in O(1) from two per-vertex caches: ``links[v]`` maps
     each assigned community adjacent to v to v's weight into it, and
     ``leave[v]`` is v's leave term for its own community. Both are
@@ -484,19 +484,6 @@ def functional_cohesion(compressed: CompressedNetwork,
 
 
 @dataclass
-class _Group:
-    """A stage-2 group: members, internal super-edge count and weight, summed
-    mean neighbour weight, and ``row``, which maps each adjacent group to the
-    ``[count, weight]`` cell of their super-edges, shared by both rows."""
-
-    members: list[int]
-    edge_count: int
-    internal_weight: float
-    mnw_sum: float
-    row: dict[int, list]
-
-
-@dataclass
 class Stage2Result:
     """Stage-2 groups of super-vertices. ``hit_cap`` is always False: stage 2
     terminates by construction and has no pass cap. The field stays only
@@ -521,24 +508,29 @@ def stage2_refine(compressed: CompressedNetwork,
     connected and has internal edges. A union whose mean-neighbor-weight sum
     is 0 has internal weight 0 too and is rejected.
 
-    Each group's ``row`` holds one ``[count, weight]`` cell per adjacent
-    group, shared with that group's row and set up from the neighbour rows
-    in sorted (a, b) order, so a union test reads the pair's cross edges in
-    O(1). A merge drops the absorbed group and folds its row into the
-    survivor's: a cell the survivor lacks is re-keyed, and one it has adds
-    the absorbed cell, which also updates the third group's row.
+    Each group lives at the index of its surviving super-vertex in five
+    lists: ``members`` (None once absorbed), internal super-edge count and
+    weight, summed mean neighbour weight, and ``rows``. A row holds one
+    ``[count, weight]`` cell per adjacent group, shared with that group's
+    row and set up in sorted (a, b) order, so a union test reads the pair's
+    cross edges in O(1). A merge folds the absorbed row into the survivor's:
+    a cell the survivor lacks is re-keyed, and one it has adds the absorbed
+    cell, which also updates the third group's row.
     """
     config = config or HubConfig()
     lam = config.cohesion_threshold
     k = compressed.num_vertices
     neighbors = compressed.neighbors
     assign = list(range(k))
-    groups = {sv: _Group([sv], 0, 0.0, float(compressed.mean_neighbor_weight[sv]), {})
-              for sv in range(k)}
+    members: list[list[int] | None] = [[sv] for sv in range(k)]
+    edge_count = [0] * k
+    internal = [0.0] * k
+    mnw_sum = compressed.mean_neighbor_weight.tolist()
+    rows: list[dict[int, list] | None] = [{} for _ in range(k)]
     for a, row in enumerate(neighbors):
         for b, w in row.items():
             if b > a:
-                groups[a].row[b] = groups[b].row[a] = [1, w]
+                rows[a][b] = rows[b][a] = [1, w]
     order = sorted(range(k), key=lambda sv: (-float(compressed.degrees[sv]), sv))
 
     passes = 0
@@ -548,31 +540,29 @@ def stage2_refine(compressed: CompressedNetwork,
         changed = False
         for sv in order:
             home = assign[sv]
-            row = groups[home].row
+            row = rows[home]
             for u in neighbors[sv]:
                 other = assign[u]
                 if other == home:
                     continue
-                a, b = groups[home], groups[other]
-                mnw = a.mnw_sum + b.mnw_sum
+                mnw = mnw_sum[home] + mnw_sum[other]
                 if mnw == 0.0:
                     continue  # all weights are 0, so the union's cohesion is 0/0
                 links, weight = row[other]
-                n = len(a.members) + len(b.members)
-                e = a.edge_count + b.edge_count + links
-                iw = a.internal_weight + b.internal_weight + weight
+                n = len(members[home]) + len(members[other])
+                e = edge_count[home] + edge_count[other] + links
+                iw = internal[home] + internal[other] + weight
                 if 2.0 * iw / mnw * (2.0 * e / (n * (n - 1))) < lam:
                     continue
-                for m in b.members:
+                for m in members[other]:
                     assign[m] = home
-                a.members.extend(b.members)
-                a.edge_count, a.internal_weight, a.mnw_sum = e, iw, mnw
-                del groups[other]
+                members[home].extend(members[other])
+                edge_count[home], internal[home], mnw_sum[home] = e, iw, mnw
                 del row[other]
-                for c, cell in b.row.items():
+                for c, cell in rows[other].items():
                     if c == home:
                         continue
-                    third = groups[c].row
+                    third = rows[c]
                     del third[other]
                     shared = row.get(c)
                     if shared is None:
@@ -580,8 +570,9 @@ def stage2_refine(compressed: CompressedNetwork,
                     else:
                         shared[0] += cell[0]
                         shared[1] += cell[1]
+                members[other] = rows[other] = None
                 changed = True
-    return Stage2Result(groups={gid: set(g.members) for gid, g in groups.items()},
+    return Stage2Result(groups={gid: set(g) for gid, g in enumerate(members) if g is not None},
                         passes=passes)
 
 
@@ -614,7 +605,7 @@ def detect(network: WeightedNetwork, config: HubConfig | None = None) -> Detecti
     effective = replace(config, hub_threshold=threshold)
     seeds = select_hubs(network, effective)
     hub_count = len(seeds.communities)
-    stage1 = stage1_agglomerate(network, seeds, effective)
+    stage1 = stage1_agglomerate(network, seeds)
     compressed = compress(network, stage1.partition)
     stage2 = stage2_refine(compressed, effective)
 

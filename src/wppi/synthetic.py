@@ -47,6 +47,13 @@ def check_block_sizes(sizes: list[int]) -> list[int]:
     return sizes
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it is >= 0, as numpy's ``default_rng`` requires."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return seed
+
+
 def planted_partition(block_sizes: list[int],
                       w_in: tuple[float, float] = (0.8, 1.0),
                       w_out: tuple[float, float] = (0.0, 0.1),
@@ -61,7 +68,7 @@ def planted_partition(block_sizes: list[int],
     block_sizes = check_block_sizes(block_sizes)
     w_in, w_out = check_weight_range(w_in), check_weight_range(w_out)
     p_in, p_out = check_probability(p_in), check_probability(p_out)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n = sum(block_sizes)
     block_of = np.empty(n, dtype=np.int64)
     blocks: list[list[int]] = []

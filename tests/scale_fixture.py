@@ -121,7 +121,7 @@ def _main(argv: list[str]) -> int:
     seeds = detector.select_hubs(network, config)
     report("hubs", time.perf_counter() - start, f"hubs={len(seeds.communities)}")
     start = time.perf_counter()
-    stage1 = detector.stage1_agglomerate(network, seeds, config)
+    stage1 = detector.stage1_agglomerate(network, seeds)
     report("stage 1", time.perf_counter() - start,
            f"sweeps={stage1.sweeps} evaluations={stage1.evaluations} "
            f"moves={stage1.moves} steals={stage1.steals} "

@@ -564,7 +564,8 @@ class TestGenSynthetic:
                                              ("--w-in", "0.9,0.2"), ("--w-out", "0,nan"),
                                              ("--w-in", "nan,0.5"), ("--w-out", "0.5,1.5"),
                                              ("--w-in", "0.9"), ("--w-out", "0,0.1,0.2"),
-                                             ("--w-in", "x,1"), ("--w-out", "")])
+                                             ("--w-in", "x,1"), ("--w-out", ""),
+                                             ("--p-in", "half"), ("--p-out", "")])
     def test_edge_probability_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
                                                                     flag, value):
         # Weight ranges, two numbers whose ends must lie in [0, 1] too, take the same route.
@@ -576,6 +577,13 @@ class TestGenSynthetic:
         for argv in missing_input_runs(tmp_path, "--samples").values():
             assert assert_flag_error(capsys, argv, "--samples", samples, tmp_path / "s") == \
                 f"error: --samples: insufficient samples (need at least 2), got {samples}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_names_its_flag_before_any_file(self, tmp_path, capsys, seed):
+        # planted_partition's rule, reported under the flag rather than in numpy's words.
+        for argv in missing_input_runs(tmp_path, "--seed").values():
+            assert assert_flag_error(capsys, argv, "--seed", seed, tmp_path / "s") == \
+                f"error: --seed: seed must be >= 0, got {seed}\n"
 
     @pytest.mark.parametrize("argv", [("--blocks", "1"), ("--blocks", "2", "--p-in", "0"),
                                       ("--blocks", "3,3", "--p-in", "0", "--p-out", "0")])
@@ -627,7 +635,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [("--lambda", "0"), ("--lambda", "nan"),
                                              ("--d-alpha", "-1"), ("--lambda", "-inf"),
-                                             ("--d-alpha", "nan"), ("--d-alpha", "-inf")])
+                                             ("--d-alpha", "nan"), ("--d-alpha", "-inf"),
+                                             ("--lambda", "abc"), ("--d-alpha", "x")])
     def test_bad_detector_threshold_names_its_flag_before_any_input(self, toy, toy_run, capsys,
                                                                    flag, value):
         runs = [*self.detecting_runs(toy, toy_run), *missing_input_runs(toy["out"], flag).values()]
@@ -687,6 +696,20 @@ class TestExitCodes:
             for value in ("0", "-1"):
                 assert assert_flag_error(capsys, argv, "--threads", value, toy["out"] / "bad") \
                     == f"error: --threads: thread count must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize("flag, kind", [
+        ("--d-alpha", "a number"), ("--lambda", "a number"), ("--default-weight", "a number"),
+        ("--threshold", "a number"), ("--p-in", "a number"), ("--p-out", "a number"),
+        ("--threads", "an integer"), ("--samples", "an integer"), ("--seed", "an integer")])
+    def test_typed_flag_value_that_is_not_a_number_names_its_flag(self, tmp_path, capsys,
+                                                                   flag, kind):
+        # argparse would print its usage block and its own wording; every command taking the
+        # flag reports it in wppi's one-line format instead, before any input is read.
+        values = ["abc", "", "1,5"] + (["1.5", "2e3"] if kind == "an integer" else [])
+        for argv in missing_input_runs(tmp_path, flag).values():
+            for value in values:
+                assert assert_flag_error(capsys, argv, flag, value, tmp_path / "bad") == \
+                    f"error: {flag}: must be {kind}, got {value!r}\n"
 
     def test_infinite_thresholds_are_valid(self, toy):
         # --d-alpha inf seeds every vertex; --lambda inf keeps stage 1's communities.

@@ -457,6 +457,25 @@ class TestStage2MatchesReference:
         assert comp.num_vertices == 192
         assert self.assert_same(comp) == 764
 
+    def test_large_lambdas_on_every_fixture(self):
+        # At lambda = inf no union clears the bound: every super-vertex stays
+        # alone and the one pass merges nothing.
+        syn = planted_partition([20] * 30, p_in=0.4, p_out=0.005, w_out=(0.0, 0.5), seed=1)
+        nets = [random_network(seed, n=n, p=min(0.3, 6.0 / n))
+                for seed, n in enumerate(FUZZ_SIZES)]
+        nets += [syn.network, scale_network(600, 0, **DENSE)[0]]
+        merges = 0
+        for net in nets:
+            comp = _stage1_compressed(net)
+            for lam in (5.0, float("inf")):
+                result = stage2_refine(comp, HubConfig(cohesion_threshold=lam))
+                groups, passes = stage2_reference(comp, lam)
+                assert (result.groups, result.passes) == (groups, passes), lam
+                merges += comp.num_vertices - len(groups)
+            singletons = {sv: {sv} for sv in range(comp.num_vertices)}
+            assert (result.groups, result.passes) == (singletons, 1)  # lambda = inf's
+        assert merges > 0  # all at lambda = 5
+
 
 def _value_or_error(function, *args):
     try:

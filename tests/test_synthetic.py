@@ -53,6 +53,9 @@ class TestPlantedPartition:
                 planted_partition([3, 3], p_in=p)
             with pytest.raises(ValueError, match="edge probabilities"):
                 planted_partition([3, 3], p_out=p)
+        with pytest.raises(ValueError) as info:
+            planted_partition([3, 3], seed=-1)
+        assert str(info.value) == "seed must be >= 0"
 
 
 class TestBlockExpression:
