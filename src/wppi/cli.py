@@ -56,15 +56,22 @@ class _NotANumber(Exception):
     """A typed flag's text that ``int`` or ``float`` rejects."""
 
 
+def _number(text: str, kind):
+    """``kind(text)``; text that is not a ``kind`` raises a ``ValueError`` naming the rule."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError("must be an integer" if kind is int else "must be a number") from None
+
+
 def _add_number(parser: argparse.ArgumentParser, flag: str, kind, **kwargs) -> None:
     """Add a flag read as ``kind``. argparse reports a ``type``'s ``ValueError`` in its own
     format, usage block included, but lets ``_NotANumber`` through to ``main``."""
     def read(text: str):
         try:
-            return kind(text)
-        except ValueError:
-            rule = "must be an integer" if kind is int else "must be a number"
-            raise _NotANumber(f"{flag}: {rule}, got {text!r}") from None
+            return _number(text, kind)
+        except ValueError as exc:
+            raise _NotANumber(f"{flag}: {exc}, got {text!r}") from None
     parser.add_argument(flag, type=read, **kwargs)
 
 
@@ -424,7 +431,7 @@ def cmd_pipeline(args) -> int:
 
 def _numbers(text: str, kind=float) -> list:
     """The comma-separated numbers in ``text``; empty items are skipped, so "" gives []."""
-    return [kind(x) for x in text.split(",") if x]
+    return [_number(x, kind) for x in text.split(",") if x]
 
 
 def cmd_gen_synthetic(args) -> int:

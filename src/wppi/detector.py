@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -597,17 +597,17 @@ class DetectionResult:
 
 
 def detect(network: WeightedNetwork, config: HubConfig | None = None) -> DetectionResult:
-    """Run the full two-stage detection and report per-community metrics."""
+    """Run the full two-stage detection and report per-community metrics; the
+    result's ``hub_threshold`` is ``select_hubs``'s cutoff: the mean weighted degree if unset."""
     config = config or HubConfig()
     threshold = config.hub_threshold
     if threshold is None:
         threshold = mean_weighted_degree(network)
-    effective = replace(config, hub_threshold=threshold)
-    seeds = select_hubs(network, effective)
+    seeds = select_hubs(network, config)
     hub_count = len(seeds.communities)
     stage1 = stage1_agglomerate(network, seeds)
     compressed = compress(network, stage1.partition)
-    stage2 = stage2_refine(compressed, effective)
+    stage2 = stage2_refine(compressed, config)
 
     expanded: list[tuple[list[int], list[int]]] = []
     for supers in map(sorted, stage2.groups.values()):

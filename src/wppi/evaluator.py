@@ -49,9 +49,6 @@ class ComplexCatalogue:
             if len(members) < 2:
                 raise ValueError(f"complex {name!r} has fewer than 2 proteins")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass
 class AnnotationSet:

@@ -32,10 +32,6 @@ class ExpressionMatrix:
         if len(self.gene_index) != self.values.shape[0]:
             raise ValueError("gene index size does not match value rows")
 
-    @property
-    def sample_count(self) -> int:
-        return self.values.shape[1]
-
 
 def quantile_normalize_values(values: np.ndarray) -> np.ndarray:
     """Quantile-normalize columns of a matrix.
@@ -76,7 +72,7 @@ def quantile_normalize_values(values: np.ndarray) -> np.ndarray:
 
 def quantile_normalize(matrix: ExpressionMatrix) -> ExpressionMatrix:
     """Quantile-normalize (at least 2 samples); the result shares the input's labels."""
-    if matrix.sample_count < 2:
+    if matrix.values.shape[1] < 2:
         raise ValueError("insufficient samples")
     return replace(matrix, values=quantile_normalize_values(matrix.values))
 
@@ -122,21 +118,14 @@ def pearson(x, y) -> float:
 
 @dataclass
 class GeneMatch:
-    """Per-protein expression row (-1 when unmatched) and the matching ratio."""
+    """Per-protein expression row (-1 when unmatched) and the percentage matched."""
 
     rows: np.ndarray
 
     @property
-    def matched(self) -> int:
-        return int(np.count_nonzero(self.rows >= 0))
-
-    @property
-    def total(self) -> int:
-        return int(self.rows.size)
-
-    @property
     def ratio_percent(self) -> float:
-        return 100.0 * self.matched / self.total if self.total else 0.0
+        matched = int(np.count_nonzero(self.rows >= 0))
+        return 100.0 * matched / self.rows.size if self.rows.size else 0.0
 
 
 def match_genes(proteins: ProteinIndex, matrix: ExpressionMatrix,

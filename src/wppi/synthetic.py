@@ -13,6 +13,8 @@ import numpy as np
 
 from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
+BLOCK_NOISE = 0.15  # deviation of an expression cell from its block's profile
+
 
 @dataclass
 class SyntheticNetwork:
@@ -95,12 +97,12 @@ def planted_partition(block_sizes: list[int],
 
 
 def block_expression(synthetic: SyntheticNetwork, samples: int,
-                     noise: float = 0.15, seed: int = 0) -> tuple[list[str], np.ndarray]:
+                     seed: int = 0) -> tuple[list[str], np.ndarray]:
     """Expression rows whose correlation mirrors the planted block structure.
 
     Each block shares a latent profile; member rows are the profile plus
-    independent noise, so within-block correlation is high and cross-block
-    correlation is near zero.
+    independent noise of the fixed deviation ``BLOCK_NOISE``, 0.15, so
+    within-block correlation is high and cross-block correlation is near zero.
     """
     if samples < 2:
         raise ValueError("insufficient samples (need at least 2)")
@@ -110,5 +112,5 @@ def block_expression(synthetic: SyntheticNetwork, samples: int,
     for block in synthetic.blocks:
         profile = rng.normal(0.0, 1.0, size=samples)
         for v in block:
-            values[v] = profile + rng.normal(0.0, noise, size=samples)
+            values[v] = profile + rng.normal(0.0, BLOCK_NOISE, size=samples)
     return synthetic.proteins.labels, values

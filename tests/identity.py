@@ -9,10 +9,11 @@ the ``tests/data`` toy fixture through ``pipeline`` in tsv and json; the
 ``pipeline``; the ``build-and-evaluate`` seed 1 inputs through
 ``build-wppi``, ``evaluate --format json`` and ``evaluate --annotated-universe``
 (tsv); and ``detect --wppi`` on that
-build's ``wppi.tsv`` at lambda 1, 2 and 3; and ``build-wppi --mapping`` on a
+build's ``wppi.tsv`` at lambda 1, 2 and 3; ``build-wppi --mapping`` on a
 messy fixture the script writes, whose expression file only the row-by-row
-reader accepts. Everything is written into a temporary directory that is
-removed afterwards.
+reader accepts; and ``gen-synthetic --blocks 8,8,8 --samples 6 --seed 4``,
+the run ``tests/test_golden.py::test_gen_synthetic`` pins. Everything is
+written into a temporary directory that is removed afterwards.
 
 Each run prints one ``name exit=<code>`` line, then one ``name/file sha256``
 line per output file. JSON files are hashed after dropping ``*_seconds``
@@ -130,6 +131,8 @@ def main() -> int:
         f = _messy_inputs(tmp / "messy-in")
         _run("messy-build", tmp / "messy-build", "build-wppi", "--ppi", f["ppi"],
              "--ged", f["ged"], "--mapping", f["mapping"], "--threads", THREADS)
+        _run("gen-synthetic", tmp / "gen-synthetic", "gen-synthetic", "--blocks", "8,8,8",
+             "--samples", "6", "--seed", "4")
     return 0
 
 

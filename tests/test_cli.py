@@ -558,6 +558,8 @@ class TestGenSynthetic:
             for value in ("ten", "1.5", "0,3", "-2", "", ","):
                 err = assert_flag_error(capsys, argv, "--blocks", value, tmp_path / "s")
                 assert err.endswith(f", got {value!r}\n"), err
+                if value in ("ten", "1.5"):
+                    assert err == f"error: --blocks: must be an integer, got {value!r}\n"
 
     @pytest.mark.parametrize("flag, value", [("--p-in", "nan"), ("--p-out", "nan"),
                                              ("--p-in", "1.5"), ("--p-out", "-0.5"),
@@ -571,6 +573,14 @@ class TestGenSynthetic:
         # Weight ranges, two numbers whose ends must lie in [0, 1] too, take the same route.
         for argv in missing_input_runs(tmp_path, flag).values():
             assert_flag_error(capsys, argv, flag, value, tmp_path / "s")
+
+    @pytest.mark.parametrize("flag, value", [("--w-in", "x,1"), ("--w-out", "0,y")])
+    def test_weight_range_item_that_is_not_a_number_is_worded_as_for_typed_flags(
+            self, tmp_path, capsys, flag, value):
+        # Each item goes through the typed flags' reader; the whole flag text is reported.
+        for argv in missing_input_runs(tmp_path, flag).values():
+            assert assert_flag_error(capsys, argv, flag, value, tmp_path / "s") == \
+                f"error: {flag}: must be a number, got {value!r}\n"
 
     @pytest.mark.parametrize("samples", ["1", "-3"])
     def test_sample_count_of_one_or_less_is_usage_error(self, tmp_path, capsys, samples):

@@ -619,6 +619,23 @@ class TestDetect:
         assert sorted(v for c in result.communities for v in c.vertices) == [0, 1, 2]
         assert all(c.functional_cohesion is None for c in result.communities)
 
+    @pytest.mark.parametrize("name", ["two_triangles", "random"])
+    def test_default_hub_threshold_is_the_mean_weighted_degree(self, two_triangles, name):
+        # select_hubs resolves a None threshold; detect reports the value it resolved to.
+        net = two_triangles if name == "two_triangles" else random_network(41, n=50, p=0.1)
+        mean = mean_weighted_degree(net)
+        default, explicit = detect(net), detect(net, HubConfig(hub_threshold=mean))
+        assert default.hub_threshold == explicit.hub_threshold == mean
+        assert [c.vertices for c in default.communities] == \
+            [c.vertices for c in explicit.communities]
+        assert default.hub_count == explicit.hub_count
+        for stage in ("stage1", "stage2"):
+            a, b = getattr(default, stage), getattr(explicit, stage)
+            counters = [f for f in vars(a) if f not in ("partition", "groups")]
+            assert [getattr(a, f) for f in counters] == [getattr(b, f) for f in counters]
+        assert default.stage2.groups == explicit.stage2.groups
+
+
 class TestScaleInvariance:
     def test_stage1_output_unchanged_by_positive_scaling(self):
         for seed in (3, 11, 29):

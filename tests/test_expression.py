@@ -160,7 +160,6 @@ class TestMatchGenes:
         matrix = matrix_of([[1, 2], [3, 4]], ["gA", "gB"])
         matched = match_genes(proteins, matrix, {"P1": "gB", "P2": "gMissing"})
         assert matched.rows.tolist() == [1, -1]
-        assert matched.matched == 1
 
     def test_ratio_formats_like_reports(self):
         # synthetic stand-in for a realistic high-coverage match ratio

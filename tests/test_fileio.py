@@ -343,7 +343,7 @@ class TestCatalogueAndAnnotations:
         path = tmp_path / "cat.tsv"
         path.write_text("alpha\ta,b,c\nbeta\td,e\n")
         catalogue = fileio.load_catalogue(path)
-        assert len(catalogue) == 2
+        assert len(catalogue.entries) == 2
         assert catalogue.entries[0] == ("alpha", frozenset({"a", "b", "c"}))
 
     def test_catalogue_singleton_rejected(self, tmp_path):
