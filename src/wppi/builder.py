@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expression import (ExpressionMatrix, GeneMatch, match_genes, row_correlations,
-                         standardize_rows)
+from .expression import ExpressionMatrix, match_genes, row_correlations, standardize_rows
 from .model import PpiNetwork, ProteinIndex, WeightedNetwork
 
 GLOBAL_DEFAULT_WEIGHT = 0.5
@@ -24,10 +23,11 @@ _KERNEL_BLOCK = 1024  # matched edges correlated per block: the gathered rows st
 
 @dataclass
 class BuildResult:
-    """Weighted network plus the bookkeeping needed for reports."""
+    """Weighted network plus the bookkeeping needed for reports; ``matching_ratio_percent``
+    is the share of proteins with an expression row."""
 
     network: WeightedNetwork
-    matching: GeneMatch
+    matching_ratio_percent: float
     fallback_weight: float
     matched_edge_count: int
     unmatched_edge_count: int
@@ -69,10 +69,10 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
     """
     if ppi.edge_count == 0:
         raise ValueError("empty network")
-    matching = match_genes(proteins, matrix, mapping)
+    rows = match_genes(proteins, matrix, mapping)
 
     src, dst = ppi.edge_src, ppi.edge_dst
-    row_i, row_j = matching.rows[src], matching.rows[dst]
+    row_i, row_j = rows[src], rows[dst]
     matched_idx = np.flatnonzero((row_i >= 0) & (row_j >= 0))
     z, zero_var = standardize_rows(matrix.values)
 
@@ -101,7 +101,7 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
     network = WeightedNetwork.from_arrays(ppi.num_vertices, src, dst, weights)
     return BuildResult(
         network=network,
-        matching=matching,
+        matching_ratio_percent=100.0 * int(np.count_nonzero(rows >= 0)) / rows.size,
         fallback_weight=fallback,
         matched_edge_count=int(matched_idx.size),
         unmatched_edge_count=int(src.size - matched_idx.size),

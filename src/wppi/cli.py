@@ -12,7 +12,10 @@ Manifests are strict JSON (RFC 8259): an infinite number, such as
 The numpy-backed modules are imported by the commands that use them, so
 ``evaluate`` starts without numpy. ``main`` caps OpenBLAS at one thread
 before numpy loads, unless the caller set ``OPENBLAS_NUM_THREADS``, so no
-command runs a second OS thread.
+command runs a second OS thread. The process entry, ``run``, exits as soon
+as ``main`` has returned and stdout and stderr are flushed: every output
+file is closed by then, and the interpreter's teardown would only free
+objects, 20-40 ms on a run.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def _run_build(args):
         "edges": result.network.edge_count,
         "self_loops_dropped": ppi.self_loops_dropped,
         "duplicates_dropped": ppi.duplicates_dropped,
-        "matching_ratio_percent": round(result.matching.ratio_percent, 2),
+        "matching_ratio_percent": round(result.matching_ratio_percent, 2),
         "matched_edges": result.matched_edge_count,
         "unmatched_edges": result.unmatched_edge_count,
         "zero_variance_edges": result.zero_variance_edge_count,
@@ -507,5 +510,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Exit with ``main``'s code, skipping the interpreter's teardown. argparse's own exits
+    (``--help``, ``--version``, usage errors), Ctrl-C and a flush that fails, such as one to a
+    closed pipe, take the normal exit path and report as they always did."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # noqa: BLE001 - teardown retries the flush and reports it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,11 +4,8 @@ Two matching conventions are reported side by side because published tables
 mix them: the squared-overlap score |A∩B|^2 / (|A|·|B|) and the plain
 recall |A∩B| / |B| against the catalogue entry. Enrichment sums the
 hypergeometric upper tail directly from its largest term, which is taken
-from log-binomials; the other terms follow by the term ratio. The
-log-binomials read one table of log-factorials, lgamma(i + 1), filled on
-first use of each i and shared by every tail of an ``enrich`` call; each is
-lf[n] - lf[k] - lf[n - k], the same three lgamma values in the same order
-as the direct formula, so every p-value is the same to the bit.
+from log-binomials, lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1); the
+other terms follow by the term ratio.
 
 Both checks invert their reference sets into a protein -> entries index, so
 a community is scored only against the entries it shares a protein with.
@@ -157,16 +154,8 @@ def match_complexes(communities: Mapping[int, Iterable[str]],
     return MatchReport(threshold, matches, matched, len(matches))
 
 
-class _LogFactorials(dict):
-    """lgamma(i + 1) by i, each computed on its first lookup."""
-
-    def __missing__(self, i: int) -> float:
-        value = self[i] = math.lgamma(i + 1)
-        return value
-
-
-def _log_comb(lf: _LogFactorials, n: int, k: int) -> float:
-    return lf[n] - lf[k] - lf[n - k]
+def _log_comb(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def hypergeom_pvalue(population: int, community_size: int,
@@ -180,7 +169,7 @@ def hypergeom_pvalue(population: int, community_size: int,
     stops once a term falls below 1e-17 of the running sum.
     """
     _check_tail(population, community_size, group_size, overlap)
-    return _upper_tail(_LogFactorials(), population, community_size, group_size, overlap)
+    return _upper_tail(population, community_size, group_size, overlap)
 
 
 def _check_tail(population: int, community_size: int, group_size: int, overlap: int) -> None:
@@ -194,16 +183,16 @@ def _check_tail(population: int, community_size: int, group_size: int, overlap: 
         raise ValueError("overlap must satisfy 0 <= overlap <= min(community, group)")
 
 
-def _upper_tail(lf: _LogFactorials, population: int, n: int, K: int, overlap: int) -> float:
-    """``hypergeom_pvalue`` on checked arguments, with log-factorials from ``lf``."""
+def _upper_tail(population: int, n: int, K: int, overlap: int) -> float:
+    """``hypergeom_pvalue`` on checked arguments."""
     if overlap == 0:
         return 1.0
     rest = population - K
     lo = max(overlap, n - rest)
     hi = min(n, K)
     start = min(max((n + 1) * (K + 1) // (population + 2), lo), hi)
-    first = math.exp(_log_comb(lf, K, start) + _log_comb(lf, rest, n - start)
-                     - _log_comb(lf, population, n))
+    first = math.exp(_log_comb(K, start) + _log_comb(rest, n - start)
+                     - _log_comb(population, n))
     total = first
     term = first
     for i in range(start, hi):
@@ -230,11 +219,11 @@ class EnrichmentRecord:
     p_value: float
 
 
-def _least_tail(cache: dict[tuple[int, int], float], keys, lf: _LogFactorials,
-                population: int, size: int) -> float:
+def _least_tail(cache: dict[tuple[int, int], float], keys, population: int,
+                size: int) -> float:
     """The least tail over (term size, overlap) ``keys``, computing those not in ``cache``."""
     for key in set(keys).difference(cache):
-        cache[key] = _upper_tail(lf, population, size, *key)
+        cache[key] = _upper_tail(population, size, *key)
     return min(map(cache.__getitem__, keys))
 
 
@@ -267,20 +256,18 @@ def enrich_index(communities: Mapping[int, Iterable[str]],
     with the overlap, so the least p lies on the Pareto front of the keys:
     for each term size the largest overlap, kept only where it exceeds the
     overlap of every smaller size. Tails are computed for the front alone,
-    each distinct (community size, term size, overlap) once per call, from
-    one log-factorial table. The best term is the least name among the terms
-    whose key has the least p, so ties and records are those of a scan over
-    every term. That holds while the computed tails keep the true order of
-    the keys, which fails only on the plateaus: near 0, where subnormal
-    tails lose their bits, and near 1, where neighbouring keys closer than
-    the rounding error of the log-binomials tie or swap (seen up to
-    1 - 7e-8). So when the front's least p is below the smallest normal
-    float, or at least 1/2, every key is scored, as without the front; in
-    between, a seeded search in the tests finds the order kept. Communities
-    without any annotated member are reported under the term
-    ``unannotated`` with p = 1.0.
+    each distinct (community size, term size, overlap) once per call. The
+    best term is the least name among the terms whose key has the least p,
+    so ties and records are those of a scan over every term. That holds
+    while the computed tails keep the true order of the keys, which fails
+    only on the plateaus: near 0, where subnormal tails lose their bits,
+    and near 1, where neighbouring keys closer than the rounding error of
+    the log-binomials tie or swap (seen up to 1 - 7e-8). So when the
+    front's least p is below the smallest normal float, or at least 1/2,
+    every key is scored, as without the front; in between, a seeded search
+    in the tests finds the order kept. Communities without any annotated
+    member are reported under the term ``unannotated`` with p = 1.0.
     """
-    lf = _LogFactorials()
     tails: dict[int, dict[tuple[int, int], float]] = {}  # size -> (term size, overlap) -> p
     records: list[EnrichmentRecord] = []
     for cid in sorted(communities):
@@ -305,10 +292,10 @@ def enrich_index(communities: Mapping[int, Iterable[str]],
                 front.append(key)
         cache = tails.setdefault(size, {})
         scored = front
-        p = _least_tail(cache, scored, lf, population, size)
+        p = _least_tail(cache, scored, population, size)
         if not sys.float_info.min <= p < 0.5:  # a plateau: score every key
             scored = set(zip(sizes, overlaps))
-            p = _least_tail(cache, scored, lf, population, size)
+            p = _least_tail(cache, scored, population, size)
         best = {key for key in scored if cache[key] == p}
         term = min(compress(shared, map(best.__contains__, zip(sizes, overlaps))))
         records.append(EnrichmentRecord(cid, size, term, term_sizes[term], shared[term], p))

@@ -116,25 +116,12 @@ def pearson(x, y) -> float:
     return float(row_correlations(z, [0], [1])[0])
 
 
-@dataclass
-class GeneMatch:
-    """Per-protein expression row (-1 when unmatched) and the percentage matched."""
-
-    rows: np.ndarray
-
-    @property
-    def ratio_percent(self) -> float:
-        matched = int(np.count_nonzero(self.rows >= 0))
-        return 100.0 * matched / self.rows.size if self.rows.size else 0.0
-
-
 def match_genes(proteins: ProteinIndex, matrix: ExpressionMatrix,
-                mapping: dict[str, str] | None = None) -> GeneMatch:
-    """Resolve each protein to its expression row via an optional mapping table.
+                mapping: dict[str, str] | None = None) -> np.ndarray:
+    """Each protein's expression row, -1 where unmatched, via an optional mapping table.
 
     Without a mapping the protein label itself is used as the gene id.
     Proteins whose gene is absent from the matrix count as unmatched.
     """
     genes = (mapping.get(label, label) for label in proteins) if mapping else proteins
-    return GeneMatch(np.array([matrix.gene_index.get(gene, -1) for gene in genes],
-                              dtype=np.int64))
+    return np.array([matrix.gene_index.get(gene, -1) for gene in genes], dtype=np.int64)

@@ -63,17 +63,13 @@ def _canonical(num_vertices: int, src: np.ndarray,
 
     Returns the sorted keys, the sorting permutation and a mask of the sorted
     positions whose key repeats the one before (the first occurrence is
-    kept unmasked). Keys already strictly ascending, as a canonical edge set
-    passed on unchanged has them, are not sorted again. Raises
-    ``ValueError`` on a vertex outside [0, n).
+    kept unmasked). Raises ``ValueError`` on a vertex outside [0, n).
     """
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     if lo.size and (int(lo.min()) < 0 or int(hi.max()) >= num_vertices):
         raise ValueError("vertex out of range")
     key = lo * np.int64(num_vertices) + hi
-    if bool(np.all(key[1:] > key[:-1])):
-        return key, np.arange(key.size), np.zeros(key.size, dtype=bool)
     order = _stable_argsort(key)
     key = key[order]
     repeat = np.zeros(key.size, dtype=bool)

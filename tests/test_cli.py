@@ -923,6 +923,82 @@ class TestStartup:
             wppi.no_such_name  # noqa: B018
 
 
+class TestProcessEntry:
+    """``cli.run``, the entry of ``python -m wppi.cli`` and the ``wppi`` script, in a child."""
+
+    @staticmethod
+    def child(*argv, script=None):
+        import subprocess
+        import sys
+
+        # stdout stays block-buffered, so an exit that skipped its flush would lose the summary
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        command = ["-c", script, *argv] if script else ["-m", "wppi.cli", *argv]
+        return subprocess.run([sys.executable, *command], capture_output=True, text=True,
+                              env={**env, "PYTHONPATH": src})
+
+    def test_success_writes_what_an_in_process_run_writes(self, toy, capsys):
+        argv = ["pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                "--catalogue", toy["catalogue"], "--annotations", toy["annotations"]]
+        assert run(*argv, "--output", toy["out"] / "in") == 0
+        printed = capsys.readouterr().out
+        done = self.child(*map(str, argv), "--output", str(toy["out"] / "child"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, printed, "")
+        names = sorted(p.name for p in (toy["out"] / "in").iterdir())
+        assert names == sorted(p.name for p in (toy["out"] / "child").iterdir())
+        for name in names:
+            ours, theirs = ((toy["out"] / side / name).read_bytes() for side in ("in", "child"))
+            if name.endswith(".json"):  # the output path and timings differ between the runs
+                ours, theirs = json.loads(ours), json.loads(theirs)
+                for manifest in (ours, theirs):
+                    del manifest["config"]["output"]
+                    del manifest["build"]["build_seconds"]
+                    del manifest["detection"]["detect_seconds"]
+            assert ours == theirs, name
+
+    def test_usage_error_exits_2_with_one_line(self, toy):
+        done = self.child("gen-synthetic", "--blocks", "ten", "--output", str(toy["out"] / "g"))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: --blocks: must be an integer, got 'ten'\n"
+        assert not (toy["out"] / "g").exists()
+
+    def test_version_exits_0(self):
+        from wppi import __version__
+
+        done = self.child("--version")
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"wppi {__version__}\n", "")
+
+    def build_in_child(self, toy, patch: str):
+        """``cli.run()`` on a toy ``build-wppi`` in a ``-c`` child, after ``patch`` and an
+        atexit hook that writes ``teardown ran`` to stderr."""
+        argv = ["wppi", "build-wppi", "--ppi", str(toy["ppi"]), "--ged", str(toy["ged"]),
+                "--output", str(toy["out"] / "b")]
+        return self.child(script="import atexit, sys\nfrom wppi import builder, cli\n"
+                          "atexit.register(lambda: sys.__stderr__.write('teardown ran\\n'))\n"
+                          f"{patch}sys.argv = {argv!r}\ncli.run()\n")
+
+    def test_computation_failure_exits_1_without_teardown(self, toy):
+        done = self.build_in_child(toy, "def fail(*args, **kwargs):\n"
+                                        "    raise RuntimeError('boom')\n"
+                                        "builder.build_wppi = fail\n")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "computation failed: boom\n")
+
+    def test_failed_flush_and_interrupt_take_the_normal_exit(self, toy):
+        import signal
+
+        done = self.build_in_child(toy, "class Closed:\n    def write(self, text):\n"
+                                        "        return len(text)\n    def flush(self):\n"
+                                        "        raise BrokenPipeError(32, 'Broken pipe')\n"
+                                        "sys.stdout = Closed()\n")
+        assert done.returncode == 120  # the interpreter's exit status for an unflushable stdout
+        assert done.stderr.startswith("teardown ran\n") and "BrokenPipeError" in done.stderr
+        done = self.build_in_child(toy, "def stop(*args, **kwargs):\n    raise KeyboardInterrupt\n"
+                                        "builder.build_wppi = stop\n")
+        assert done.returncode == -signal.SIGINT
+        assert "teardown ran\n" in done.stderr and "KeyboardInterrupt" in done.stderr
+
+
 class TestWeightQuantiles:
     def test_equal_np_quantile_bit_for_bit(self):
         from types import SimpleNamespace

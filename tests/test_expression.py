@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wppi.builder import build_wppi
 from wppi.expression import (
     ExpressionMatrix,
     match_genes,
@@ -10,7 +11,7 @@ from wppi.expression import (
     row_correlations,
     standardize_rows,
 )
-from wppi.model import ProteinIndex
+from wppi.model import PpiNetwork, ProteinIndex
 
 from .oracles import pearson_direct, quantile_normalize_direct, quantile_normalize_loop
 
@@ -145,26 +146,24 @@ class TestPearson:
 class TestMatchGenes:
     def test_full_match(self):
         proteins = ProteinIndex(["A", "B"])
-        matched = match_genes(proteins, matrix_of([[1, 2], [3, 4]], ["A", "B"]))
-        assert matched.ratio_percent == 100.0
-        assert matched.rows.tolist() == [0, 1]
+        rows = match_genes(proteins, matrix_of([[1, 2], [3, 4]], ["A", "B"]))
+        assert rows.tolist() == [0, 1]
 
     def test_no_match(self):
         proteins = ProteinIndex(["X", "Y"])
-        matched = match_genes(proteins, matrix_of([[1, 2]], ["A"]))
-        assert matched.ratio_percent == 0.0
-        assert matched.rows.tolist() == [-1, -1]
+        rows = match_genes(proteins, matrix_of([[1, 2]], ["A"]))
+        assert rows.tolist() == [-1, -1]
 
     def test_mapping_table_redirects(self):
         proteins = ProteinIndex(["P1", "P2"])
         matrix = matrix_of([[1, 2], [3, 4]], ["gA", "gB"])
-        matched = match_genes(proteins, matrix, {"P1": "gB", "P2": "gMissing"})
-        assert matched.rows.tolist() == [1, -1]
+        rows = match_genes(proteins, matrix, {"P1": "gB", "P2": "gMissing"})
+        assert rows.tolist() == [1, -1]
 
     def test_ratio_formats_like_reports(self):
         # synthetic stand-in for a realistic high-coverage match ratio
         proteins = ProteinIndex([f"P{i}" for i in range(173)])
         genes = [f"P{i}" for i in range(170)]
         matrix = matrix_of(np.zeros((170, 2)), genes)
-        matched = match_genes(proteins, matrix)
-        assert f"{matched.ratio_percent:.2f}%" == "98.27%"
+        built = build_wppi(proteins, PpiNetwork(173, [0], [172]), matrix)
+        assert f"{built.matching_ratio_percent:.2f}%" == "98.27%"
