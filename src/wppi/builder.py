@@ -98,7 +98,7 @@ def build_wppi(proteins: ProteinIndex, ppi: PpiNetwork, matrix: ExpressionMatrix
     if zero_as_unmatched:
         weights[matched_idx[abs_corr == 0.0]] = fallback
 
-    network = WeightedNetwork.from_arrays(ppi.num_vertices, src, dst, weights)
+    network = WeightedNetwork(ppi.num_vertices, src, dst, weights)
     return BuildResult(
         network=network,
         matching_ratio_percent=100.0 * int(np.count_nonzero(rows >= 0)) / rows.size,

@@ -1,21 +1,21 @@
 """File formats and atomic report writing.
 
-Every loader reads its file in one ``read`` and reports malformed content as
-``InputError`` carrying the file and line. A two-column file (PPI, mapping,
-catalogue, annotations) whose every line is two non-empty tab-separated
-labels, with no '#' or blank line, is split into its labels in one go; any
-other goes through ``_pairs`` line by line, which names the first malformed
-line, so both routes give the same rows and errors. For evaluation the
-annotation file is read once into what enrichment reads, each protein's
-terms (one string per term) and each term's size within the communities'
-universe (``load_term_index``); ``load_annotations`` keeps the full term
-sets. Expression cells go to numpy's parser in one call, empty ones filled
-by str.replace, not a regex; where it could differ from float() or cannot
-name the bad line, the rows are read and checked one by one. numpy and the
-array types are imported by the loaders that build arrays, so reading only
-the evaluation inputs never loads numpy. Writers stage into a temporary file
-in the target directory and rename into place, so an interrupted run never
-leaves a partial file.
+Every loader reads its file in one ``read``, decoded by ``_text`` alone, and
+reports malformed content, a byte that is not UTF-8 too, as ``InputError``
+carrying the file and line. A two-column file (PPI, mapping, catalogue,
+annotations) whose every line is two non-empty tab-separated labels, with no
+'#' or blank line, is split into its labels in one go; any other goes through
+``_pairs`` line by line, which names the first malformed line, so both routes
+give the same rows and errors. For evaluation the annotation file is read
+once into what enrichment reads, each protein's terms (one string per term)
+and each term's size within the communities' universe (``load_term_index``);
+``load_annotations`` keeps the full term sets. Expression cells go to numpy's
+parser in one call, empty ones filled by str.replace, not a regex; where it
+could differ from float() or cannot name the bad line, the rows are read and
+checked one by one. numpy is imported by the loaders that build arrays, so
+reading only the evaluation inputs never loads it. ``atomic_write_text``
+creates every output: staged in the target directory and renamed into place,
+so an interrupted run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import tempfile
 from collections import Counter, deque
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -60,22 +59,36 @@ def sha256_file(path) -> str:
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")  # mode 0666 less the umask; mkstemp's is 0600
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)  # made by this call, and not yet renamed
         raise
+
+
+def _text(path) -> str:
+    """An input file's text, decoded here alone: UTF-8 less a leading BOM, newlines read
+    as text mode reads them, ending in one. A byte that is not UTF-8 names its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:  # not utf-8-sig, whose error offsets do not count the BOM
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode().replace("\r\n", "\n").replace("\r", "\n")
+        _fail(path, head.count("\n") + 1, "not UTF-8 text")
+    if "\r" in text:  # a one-character scan is fast; the '\r\n' search is not
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text if not text or text[-1] == "\n" else text + "\n"
 
 
 def _lines(path):
     """(line_no, line) of each line that is neither empty nor a '#' comment."""
-    # Text mode turns '\r\n' and '\r' into '\n'; str.splitlines would also split inside cells.
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    # str.splitlines would also split inside cells, at '\x1c' or '\v' for instance.
+    lines = _text(path).split("\n")
     return ((n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#")
 
 
@@ -97,10 +110,7 @@ def _plain_pair_cells(path) -> list[str] | None:
     A plain file has two non-empty labels and one tab on every line, and no
     '#' or blank line, so its row i is its line i + 1.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if text and text[-1] != "\n":
-        text += "\n"
+    text = _text(path)
     # One tab on every line: stripped of all else, the text is tab, newline, tab,
     # newline, ... (UTF-8 multibyte characters hold neither byte). No label is
     # empty: no tab starts or ends a line.
@@ -288,8 +298,6 @@ def write_wppi(path, proteins: ProteinIndex, network: WeightedNetwork) -> None:
 
 
 def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
-    import numpy as np
-
     from .model import WeightedNetwork
 
     message = "expected protein_a, protein_b, weight"
@@ -309,7 +317,7 @@ def load_wppi(path) -> tuple[ProteinIndex, WeightedNetwork]:
         raise InputError(f"{path}: no weighted edges found")
     proteins, src, dst = _index_pairs(path, labels)
     try:
-        return proteins, WeightedNetwork.from_arrays(len(proteins), src, dst, np.array(weights))
+        return proteins, WeightedNetwork(len(proteins), src, dst, weights)
     except ValueError:  # rows checked above: a pair listed with two weights
         first: dict[frozenset[str], float] = {}
         for (line_no, (a, b, _)), weight in zip(_pairs(path, message), weights):

@@ -57,6 +57,14 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     return np.argsort(values, kind="stable")
 
 
+def _vertex_ids(ids) -> np.ndarray:
+    """``ids`` as int64; a non-empty array of a non-integer dtype fails, not truncates."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError("vertex ids must be integers")
+    return ids.astype(np.int64, copy=False)
+
+
 def _canonical(num_vertices: int, src: np.ndarray,
                dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable sort of undirected edges by the key ``lo * n + hi``.
@@ -90,8 +98,7 @@ class PpiNetwork:
     def __init__(self, num_vertices: int, src, dst):
         if num_vertices < 1:
             raise ValueError("empty network")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = _vertex_ids(src), _vertex_ids(dst)
         loop = src == dst
         key, _, repeat = _canonical(num_vertices, src[~loop], dst[~loop])
         key = key[~repeat]
@@ -106,29 +113,16 @@ class PpiNetwork:
 class WeightedNetwork:
     """Undirected network whose edges carry co-expression weights in [0, 1].
 
-    Edges are held in canonical order (i < j, sorted lexicographically).
+    Built from (src, dst) index arrays and their weights; edges are held in
+    canonical order (i < j, sorted lexicographically).
     Each vertex's neighbour row, sorted by neighbor index, is built on first
     use, so per-vertex sums are reproducible bit for bit.
     """
 
-    def __init__(self, num_vertices: int, weighted_edges: Iterable[tuple[int, int, float]]):
-        arr = np.array(list(weighted_edges), dtype=np.float64).reshape(-1, 3)
-        self._init_from_arrays(num_vertices, arr[:, 0].astype(np.int64),
-                               arr[:, 1].astype(np.int64), arr[:, 2])
-
-    @classmethod
-    def from_arrays(cls, num_vertices: int, src: np.ndarray, dst: np.ndarray,
-                    weights: np.ndarray) -> "WeightedNetwork":
-        net = cls.__new__(cls)
-        net._init_from_arrays(num_vertices, np.asarray(src, dtype=np.int64),
-                              np.asarray(dst, dtype=np.int64),
-                              np.asarray(weights, dtype=np.float64))
-        return net
-
-    def _init_from_arrays(self, num_vertices: int, src: np.ndarray,
-                          dst: np.ndarray, wgt: np.ndarray) -> None:
+    def __init__(self, num_vertices: int, src, dst, weights):
         if num_vertices < 1:
             raise ValueError("empty network")
+        src, dst, wgt = _vertex_ids(src), _vertex_ids(dst), np.asarray(weights, dtype=float)
         if np.any(src == dst):
             v = int(src[np.argmax(src == dst)])
             raise ValueError(f"self-loop not allowed: ({v}, {v})")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PpiNetwork, ProteinIndex, WeightedNetwork
+from .model import ProteinIndex, WeightedNetwork
 
 BLOCK_NOISE = 0.15  # deviation of an expression cell from its block's profile
 
@@ -21,11 +21,6 @@ class SyntheticNetwork:
     proteins: ProteinIndex
     network: WeightedNetwork
     blocks: list[list[int]]
-
-    @property
-    def ppi(self) -> PpiNetwork:
-        net = self.network
-        return PpiNetwork(net.num_vertices, net.edge_src, net.edge_dst)
 
 
 def check_probability(p: float) -> float:
@@ -80,7 +75,7 @@ def planted_partition(block_sizes: list[int],
         blocks.append(list(range(start, start + size)))
         start += size
 
-    edges: list[tuple[int, int, float]] = []
+    src, dst, weights = [], [], []  # edge e joins src[e] and dst[e] with weight weights[e]
     for i in range(n):
         for j in range(i + 1, n):
             same = block_of[i] == block_of[j]
@@ -88,11 +83,13 @@ def planted_partition(block_sizes: list[int],
             lo, hi = w_in if same else w_out
             keep = rng.random() < p if p < 1.0 else True
             if keep:
-                edges.append((i, j, float(rng.uniform(lo, hi))))
+                src.append(i)
+                dst.append(j)
+                weights.append(float(rng.uniform(lo, hi)))
     labels = [f"P{i:04d}" for i in range(n)]
     proteins = ProteinIndex(labels)
     return SyntheticNetwork(proteins=proteins,
-                            network=WeightedNetwork(n, edges),
+                            network=WeightedNetwork(n, src, dst, weights),
                             blocks=blocks)
 
 

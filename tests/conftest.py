@@ -4,6 +4,12 @@ import pytest
 from wppi.model import WeightedNetwork
 
 
+def weighted(n, edges):
+    """A WeightedNetwork from (i, j, weight) tuples."""
+    src, dst, weights = zip(*edges) if edges else ((), (), ())
+    return WeightedNetwork(n, src, dst, weights)
+
+
 @pytest.fixture
 def two_triangles():
     """Two unit-weight triangles joined by one weak bridge (2-3)."""
@@ -12,13 +18,13 @@ def two_triangles():
         (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0),
         (2, 3, 0.1),
     ]
-    return WeightedNetwork(6, edges)
+    return weighted(6, edges)
 
 
 @pytest.fixture
 def star_half():
     """Three leaves around vertex 0, every edge 0.5."""
-    return WeightedNetwork(4, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)])
+    return weighted(4, [(0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5)])
 
 
 def random_network(seed, n=40, p=0.12, w_lo=0.05, w_hi=1.0):
@@ -30,4 +36,4 @@ def random_network(seed, n=40, p=0.12, w_lo=0.05, w_hi=1.0):
                 edges.append((i, j, float(rng.uniform(w_lo, w_hi))))
     if not edges:
         edges = [(0, 1, 0.5)]
-    return WeightedNetwork(n, edges)
+    return weighted(n, edges)

@@ -60,8 +60,8 @@ def scale_network(n: int, seed: int = 0, block_size: int = 20, p_in: float = 0.4
 
     weights = np.concatenate([rng.uniform(0.4, 1.0, src.size),
                               rng.uniform(0.0, 0.5, key.size)])
-    network = WeightedNetwork.from_arrays(n, np.concatenate([src, key // n]),
-                                          np.concatenate([dst, key % n]), weights)
+    network = WeightedNetwork(n, np.concatenate([src, key // n]),
+                              np.concatenate([dst, key % n]), weights)
     return network, block
 
 

@@ -28,10 +28,10 @@ from wppi.detector import (
 )
 from wppi.evaluator import hypergeom_pvalue, overlap_score, recall_ratio
 from wppi.expression import ExpressionMatrix, pearson
-from wppi.model import Partition, WeightedNetwork
+from wppi.model import Partition, PpiNetwork
 from wppi.synthetic import planted_partition
 
-from .conftest import random_network
+from .conftest import random_network, weighted
 from .oracles import (
     cache_drift,
     hypergeom_tail_enumerated,
@@ -74,7 +74,7 @@ def test_criterion_01_cohesion_fixtures():
         edges.append((k, ext, outer))
         edges.append((k, ext + 1, outer))
         ext += 2
-    net = WeightedNetwork(18, edges)
+    net = weighted(18, edges)
     comp = compress(net, Partition.from_communities(net, [[v] for v in range(18)]))
     members = list(range(6))
     mnw_sum = sum(float(comp.mean_neighbor_weight[v]) for v in members)
@@ -240,7 +240,8 @@ def test_criterion_09_scaling_documented():
     # soft criterion: measured and reported, never gated. The reference
     # target (>= 2x at 4 threads) presumes at least 4 physical cores.
     syn = planted_partition([220, 230], w_out=(0.0, 0.2), seed=9)
-    ppi = syn.ppi
+    net = syn.network
+    ppi = PpiNetwork(net.num_vertices, net.edge_src, net.edge_dst)
     assert ppi.edge_count >= 100_000
     rng = np.random.default_rng(9)
     samples = 256

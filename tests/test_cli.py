@@ -113,6 +113,13 @@ class TestBuildCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8_is_input_error_at_its_line(self, toy, tmp_path, capsys):
+        bad = tmp_path / "ppi.tsv"
+        bad.write_bytes(b"P00\tP01\nP01\tP02\nP0\xd0\tP03\n")
+        code = run("build-wppi", "--ppi", bad, "--ged", toy["ged"], "--output", toy["out"] / "u")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: not UTF-8 text\n"
+
     def test_nonexistent_input_is_input_error(self, toy):
         code = run("build-wppi", "--ppi", toy["out"] / "nope.tsv", "--ged",
                    toy["ged"], "--output", toy["out"] / "y")
@@ -433,6 +440,20 @@ class TestPipelineCommand:
         for name in ("wppi.tsv", "communities.tsv", "complex_matches.tsv",
                      "enrichment.tsv", "pipeline_manifest.json"):
             assert (out / name).exists(), name
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_take_the_umask_permissions(self, toy, umask):
+        out = toy["out"] / "p"
+        previous = os.umask(umask)
+        try:
+            code = run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],
+                       "--catalogue", toy["catalogue"], "--annotations", toy["annotations"],
+                       "--output", out)
+        finally:
+            os.umask(previous)
+        assert code == 0
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert len(modes) >= 5 and set(modes.values()) == {0o666 & ~umask}, modes
 
     def test_no_intermediates_skips_wppi(self, toy):
         assert run("pipeline", "--ppi", toy["ppi"], "--ged", toy["ged"],

@@ -21,7 +21,7 @@ from wppi.detector import (
 from wppi.model import Partition, WeightedNetwork
 from wppi.synthetic import planted_partition
 
-from .conftest import random_network
+from .conftest import random_network, weighted
 from .scale_fixture import DENSE, _main as scale_fixture_main, scale_network
 from .oracles import (
     cache_drift,
@@ -40,7 +40,7 @@ from .oracles import (
 
 class TestWeightedDegree:
     def test_isolated_vertex(self):
-        net = WeightedNetwork(3, [(0, 1, 0.7)])
+        net = weighted(3, [(0, 1, 0.7)])
         assert net.weighted_degree(2) == 0.0
 
     def test_star_center(self, star_half):
@@ -55,13 +55,13 @@ class TestWeightedDegree:
 class TestSelectHubs:
     def test_mean_threshold_picks_strictly_above(self):
         # degrees [1, 1, 4, 1, 1], mean 1.6: only the center clears it
-        net = WeightedNetwork(5, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)])
+        net = weighted(5, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)])
         assert mean_weighted_degree(net) == pytest.approx(1.6)
         seeds = select_hubs(net)
         assert [next(iter(m)) for m in seeds.communities.values()] == [2]
 
     def test_degenerate_all_equal_seeds_everyone(self):
-        net = WeightedNetwork(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+        net = weighted(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
         seeds = select_hubs(net)
         assert len(seeds.communities) == 3
 
@@ -88,18 +88,18 @@ class TestSelectHubs:
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="empty network"):
-            WeightedNetwork(0, [])
+            weighted(0, [])
 
 
 class TestCommunityModularity:
     def test_isolated_community_saturates(self):
-        net = WeightedNetwork(2, [(0, 1, 1.0)])
+        net = weighted(2, [(0, 1, 1.0)])
         part = Partition.from_communities(net, [[0, 1]])
         assert community_modularity(part, 0) == pytest.approx(2.0 / 1e-12)
 
     def test_triangle_with_one_outgoing_edge(self):
         edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
-        net = WeightedNetwork(4, edges)
+        net = weighted(4, edges)
         part = Partition.from_communities(net, [[0, 1, 2], [3]])
         assert community_modularity(part, 0) == pytest.approx(6.0)
         assert community_modularity(part, 0) == pytest.approx(
@@ -108,7 +108,7 @@ class TestCommunityModularity:
     def test_balanced_community_is_one(self):
         # internal weight 1.0 counted twice = 2.0; external 2 x 1.0
         edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0)]
-        net = WeightedNetwork(4, edges)
+        net = weighted(4, edges)
         part = Partition.from_communities(net, [[0, 1], [2], [3]])
         assert community_modularity(part, 0) == pytest.approx(1.0)
 
@@ -122,12 +122,12 @@ class TestDeltaModularity:
     def test_pure_insider_gains(self):
         # vertex 3 only connects into the community
         edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, 0.8), (1, 3, 0.7)]
-        net = WeightedNetwork(4, edges)
+        net = weighted(4, edges)
         part = Partition.from_communities(net, [[0, 1, 2], [3]])
         assert delta_modularity(part, 0, 3) > 0
 
     def test_non_adjacent_vertex_rejected(self):
-        net = WeightedNetwork(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        net = weighted(4, [(0, 1, 1.0), (2, 3, 1.0)])
         part = Partition.from_communities(net, [[0, 1], [2], [3]])
         with pytest.raises(ValueError, match="not adjacent"):
             delta_modularity(part, 0, 2)
@@ -181,12 +181,12 @@ class TestStage1:
                 assert move_gain(part, k, v) <= 1e-12
 
     def test_complete_graph_collapses_to_one_community(self):
-        net = WeightedNetwork(6, [(i, j, 1.0) for i in range(6) for j in range(i + 1, 6)])
+        net = weighted(6, [(i, j, 1.0) for i in range(6) for j in range(i + 1, 6)])
         result = stage1_agglomerate(net, select_hubs(net))
         assert len(result.partition.communities) == 1
 
     def test_isolated_vertex_becomes_singleton(self):
-        net = WeightedNetwork(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+        net = weighted(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
         result = stage1_agglomerate(net, select_hubs(net))
         assert result.partition.communities[result.partition.assignment[3]] == [3]
         assert 3 in result.promoted_vertices
@@ -266,7 +266,7 @@ class TestStage1MatchesReference:
             rng = np.random.default_rng(seed)
             edges = [(i, j, float(rng.choice([0.1, 0.2])))
                      for i in range(50) for j in range(i + 1, 50) if rng.random() < 0.12]
-            self.assert_same(WeightedNetwork(50, edges))
+            self.assert_same(weighted(50, edges))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_blocks_seeded_at_a_high_percentile(self, seed):
@@ -352,7 +352,7 @@ class TestCohesionMetrics:
             edges.append((k, ext, outer))
             edges.append((k, ext + 1, outer))
             ext += 2
-        net = WeightedNetwork(18, edges)
+        net = weighted(18, edges)
         part = Partition.from_communities(net, [[v] for v in range(18)])
         return compress(net, part)
 
@@ -369,7 +369,7 @@ class TestCohesionMetrics:
         assert 1.20 <= fc <= 1.21
 
     def test_closed_pair_intensity_is_one(self):
-        net = WeightedNetwork(2, [(0, 1, 0.7)])
+        net = weighted(2, [(0, 1, 0.7)])
         part = Partition.from_communities(net, [[0], [1]])
         comp = compress(net, part)
         assert interaction_intensity(comp, [0, 1]) == pytest.approx(1.0)
@@ -383,7 +383,7 @@ class TestCohesionMetrics:
             for j in range(i + 1, n):
                 if rng.random() < 0.6:
                     edges.append((i, j, float(rng.uniform(0.1, 1.0))))
-        net = WeightedNetwork(n, edges)
+        net = weighted(n, edges)
         part = Partition.from_communities(net, [[v] for v in range(n)])
         comp = compress(net, part)
         members = [0, 2, 3, 5]
@@ -393,7 +393,7 @@ class TestCohesionMetrics:
             cohesion_direct(edges, members), abs=1e-12)
 
     def test_isolated_super_vertex_rejected(self):
-        net = WeightedNetwork(3, [(0, 1, 0.5)])
+        net = weighted(3, [(0, 1, 0.5)])
         part = Partition.from_communities(net, [[0], [1], [2]])
         comp = compress(net, part)
         with pytest.raises(ValueError, match="isolated super-vertex"):
@@ -582,7 +582,7 @@ class TestScaleFixture:
 class TestDetect:
     def test_single_edge_graph(self):
         # an isolated pair saturates stage-1 modularity, so it always merges
-        net = WeightedNetwork(2, [(0, 1, 0.9)])
+        net = weighted(2, [(0, 1, 0.9)])
         for lam in (2.0, 0.5):
             result = detect(net, HubConfig(cohesion_threshold=lam))
             assert [len(c.vertices) for c in result.communities] == [2]
@@ -608,14 +608,14 @@ class TestDetect:
                 assert c.functional_cohesion >= 0.5
 
     def test_one_vertex_graph_is_one_singleton(self):
-        result = detect(WeightedNetwork(1, []))
+        result = detect(weighted(1, []))
         assert [c.vertices for c in result.communities] == [[0]]
 
     def test_zero_weight_edges_do_not_divide_by_zero(self):
         # A zero-weight union has mean-neighbor-weight sum 0 and is never merged.
-        result = detect(WeightedNetwork(2, [(0, 1, 0.0)]))
+        result = detect(weighted(2, [(0, 1, 0.0)]))
         assert [c.vertices for c in result.communities] == [[0], [1]]
-        result = detect(WeightedNetwork(3, [(0, 1, 0.0), (1, 2, 0.5)]))
+        result = detect(weighted(3, [(0, 1, 0.0), (1, 2, 0.5)]))
         assert sorted(v for c in result.communities for v in c.vertices) == [0, 1, 2]
         assert all(c.functional_cohesion is None for c in result.communities)
 
@@ -643,7 +643,7 @@ class TestScaleInvariance:
             base = stage1_agglomerate(net, select_hubs(net))
             base_groups = sorted(sorted(m) for m in base.partition.communities.values())
             for alpha in (0.5, 2.0):
-                scaled = WeightedNetwork.from_arrays(
+                scaled = WeightedNetwork(
                     net.num_vertices, net.edge_src, net.edge_dst, net.edge_weight * alpha)
                 result = stage1_agglomerate(scaled, select_hubs(scaled))
                 groups = sorted(sorted(m) for m in result.partition.communities.values())

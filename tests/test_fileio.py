@@ -33,6 +33,29 @@ class TestLoadPpi:
             fileio.load_ppi(path)
 
 
+class TestDecoding:
+    def test_bom_dropped_on_the_plain_pair_route(self, tmp_path):
+        path = tmp_path / "ppi.tsv"
+        path.write_bytes(b"\xef\xbb\xbfA\tB\nB\tC")
+        proteins, net = fileio.load_ppi(path)
+        assert proteins.labels == ["A", "B", "C"]
+        assert net.edge_count == 2
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("load, head", [
+        (fileio.load_ppi, b"A\tB\nB\tC\n"),
+        (fileio.load_ppi, b"A\tB\r\nB\tC\r"),
+        (fileio.load_ppi, b"# interactions\nA\tB\n"),
+        (fileio.load_expression, b"gene_id\tS1\tS2\nA\t1\t2\n"),
+    ], ids=["plain-pairs", "plain-pairs-cr", "pair-lines", "expression"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, bom, load, head):
+        path = tmp_path / "in.tsv"
+        path.write_bytes(bom + head + b"\xd0\t3\t4\n")
+        with pytest.raises(InputError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:3: not UTF-8 text"
+
+
 class TestInterning:
     def test_ppi_and_wppi_loaders_intern_alike(self, tmp_path):
         rows = [("Q", "B"), ("A", "Z"), ("B", "Q"), ("M", "B"), ("Z", "Q")]

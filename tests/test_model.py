@@ -3,7 +3,7 @@ import pytest
 
 from wppi.model import Partition, PpiNetwork, ProteinIndex, WeightedNetwork, _stable_argsort
 
-from .conftest import random_network
+from .conftest import random_network, weighted
 from .oracles import cache_drift, community_sums_loop, weight_to_loop
 
 
@@ -67,16 +67,16 @@ class TestPpiNetwork:
 class TestWeightedNetwork:
     def test_weights_validated(self):
         with pytest.raises(ValueError, match="weight out of range"):
-            WeightedNetwork(2, [(0, 1, 1.5)])
+            weighted(2, [(0, 1, 1.5)])
 
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="weight out of range"):
-            WeightedNetwork(2, [(0, 1, float("nan"))])
+            weighted(2, [(0, 1, float("nan"))])
         with pytest.raises(ValueError, match="weight out of range"):
-            WeightedNetwork.from_arrays(3, [0, 1], [1, 2], [0.5, np.nan])
+            WeightedNetwork(3, [0, 1], [1, 2], [0.5, np.nan])
 
     def test_neighbors_sorted(self):
-        net = WeightedNetwork(4, [(2, 0, 0.3), (0, 1, 0.2), (0, 3, 0.9)])
+        net = weighted(4, [(2, 0, 0.3), (0, 1, 0.2), (0, 3, 0.9)])
         idx, wgt = net.neighbors(0)
         assert list(idx) == [1, 2, 3]
         assert list(wgt) == [0.2, 0.3, 0.9]
@@ -90,7 +90,7 @@ class TestWeightedNetwork:
         assert total == pytest.approx(2 * sum(w for _, _, w in two_triangles.edges()))
 
     def test_scaled_preserves_structure(self, two_triangles):
-        half = WeightedNetwork.from_arrays(
+        half = WeightedNetwork(
             two_triangles.num_vertices, two_triangles.edge_src, two_triangles.edge_dst,
             two_triangles.edge_weight * 0.5)
         assert [(i, j) for i, j, _ in half.edges()] == \
@@ -104,10 +104,9 @@ class TestWeightedNetwork:
         flip = rng.random(base.edge_count) < 0.5
         src = np.where(flip, base.edge_dst, base.edge_src)[perm]
         dst = np.where(flip, base.edge_src, base.edge_dst)[perm]
-        canonical = WeightedNetwork.from_arrays(base.num_vertices, base.edge_src,
-                                                base.edge_dst, base.edge_weight)
-        shuffled = WeightedNetwork.from_arrays(base.num_vertices, src, dst,
-                                               base.edge_weight[perm])
+        canonical = WeightedNetwork(base.num_vertices, base.edge_src,
+                                    base.edge_dst, base.edge_weight)
+        shuffled = WeightedNetwork(base.num_vertices, src, dst, base.edge_weight[perm])
         expected: dict[int, list[tuple[int, float]]] = {}
         for i, j, w in base.edges():
             expected.setdefault(i, []).append((j, w))
@@ -135,8 +134,19 @@ class TestWeightedNetwork:
 
     def test_sorted_conflicting_duplicate_rejected(self):
         with pytest.raises(ValueError, match="conflicting duplicate"):
-            WeightedNetwork.from_arrays(3, np.array([0, 0, 1]), np.array([1, 1, 2]),
-                                        np.array([0.2, 0.3, 0.4]))
+            WeightedNetwork(3, np.array([0, 0, 1]), np.array([1, 1, 2]),
+                            np.array([0.2, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize("ids", [[1.7], [True], np.array([1.0])], ids=["float", "bool", "array"])
+def test_vertex_ids_must_be_integers(ids):
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        PpiNetwork(3, ids, [2])
+    with pytest.raises(ValueError, match="vertex ids must be integers"):
+        WeightedNetwork(3, [0], ids, [0.5])
+    assert PpiNetwork(3, [], []).edge_count == 0
+    narrow = WeightedNetwork(3, np.array([0], dtype=np.int8), np.array([2], dtype=np.uint8), [0.5])
+    assert narrow.edges() == [(0, 2, 0.5)]
 
 
 def test_stable_argsort_equals_numpys_on_both_routes():

@@ -33,13 +33,6 @@ class TestPlantedPartition:
         syn = planted_partition([10, 10], p_in=0.5, p_out=0.1, seed=7)
         assert syn.network.edge_count < 190
 
-    def test_ppi_view_matches_edges(self):
-        syn = planted_partition([4, 4], seed=9)
-        ppi = syn.ppi
-        assert ppi.edge_count == syn.network.edge_count
-        assert list(zip(ppi.edge_src.tolist(), ppi.edge_dst.tolist())) == \
-            [(i, j) for i, j, _ in syn.network.edges()]
-
     def test_bad_arguments(self):
         for sizes in ([], [0, 3], [-2]):
             with pytest.raises(ValueError) as info:
